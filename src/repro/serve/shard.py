@@ -317,9 +317,9 @@ class ShardedMatchService:
 
         Stages: route distinct keys to home shards (validated site
         ``serve.shard.route``) → per-home-shard embedding resolution →
-        per-shard candidate lookup + score-cache consult → per-home-shard
-        column resolution (kernel path) → per-shard scoring of that
-        shard's uncached pairs → sorted-union merge and assembly.  Every
+        per-shard candidate lookup + score-cache consult → sorted-union
+        merge → per-home-shard column resolution (kernel path) → one
+        canonical-order scoring call at the router → assembly.  Every
         per-shard step runs under :meth:`_shard_call` failover.
         """
         if not records:
@@ -450,7 +450,7 @@ class ShardedMatchService:
         predict_calls = 0
         if to_score:
             used = self._score_merged(
-                to_score, record_by_key, columns_by_key, scores_now
+                to_score, owner_of, record_by_key, columns_by_key, scores_now
             )
             predict_calls = 1
             failovers += used
@@ -488,6 +488,7 @@ class ShardedMatchService:
     def _score_merged(
         self,
         to_score: "list[tuple[str, str]]",
+        owner_of: "dict[tuple[str, str], int]",
         record_by_key: "dict[str, dict[str, object]]",
         columns_by_key: "dict[str, np.ndarray] | None",
         scores_now: "dict[tuple[str, str], float]",
@@ -495,16 +496,15 @@ class ShardedMatchService:
         """Score ``to_score`` (canonical order) once; returns failovers.
 
         Reference columns/records come from each pair's owning shard
-        (gathered under :meth:`_shard_call` failover, stitched back into
-        the canonical order — exact row copies, so the stitched matrix is
-        bit-identical to the unsharded gather), the retried scoring call
-        runs at site ``serve.score`` exactly like the unsharded service,
-        and each score lands in the owning shard's cache.
+        ``owner_of[pair]`` (the shard whose view returned the candidate),
+        gathered under :meth:`_shard_call` failover and stitched back in
+        canonical order — exact row copies, bit-identical to the unsharded
+        gather; the retried scoring call runs at site ``serve.score`` like
+        the unsharded service, and each score lands in the owner's cache.
         """
         groups_of: dict[int, list[int]] = {}
-        for position, (_, candidate_id) in enumerate(to_score):
-            owner = shard_of_id(candidate_id, self.n_shards)
-            groups_of.setdefault(owner, []).append(position)
+        for position, pair_key in enumerate(to_score):
+            groups_of.setdefault(owner_of[pair_key], []).append(position)
         failovers = 0
         if self.scoring == "kernel":
             assert columns_by_key is not None
@@ -530,7 +530,7 @@ class ShardedMatchService:
             pair_records = [
                 (
                     record_by_key[key],
-                    self._groups[shard_of_id(candidate_id, self.n_shards)]
+                    self._groups[owner_of[(key, candidate_id)]]
                     .primary.index.record(candidate_id),
                 )
                 for key, candidate_id in to_score
@@ -550,8 +550,7 @@ class ShardedMatchService:
         )
         for pair_key, probability in zip(to_score, probabilities):
             scores_now[pair_key] = float(probability)
-            owner = shard_of_id(pair_key[1], self.n_shards)
-            self._groups[owner].primary.score_cache.put(
+            self._groups[owner_of[pair_key]].primary.score_cache.put(
                 pair_key, float(probability)
             )
         if _OBS.enabled:

@@ -5,7 +5,10 @@ for every shard count the sharded service must agree byte-for-byte with
 the unsharded :class:`MatchService` and with a direct offline
 ``predict_proba`` over the same candidates — including the degenerate
 batches (empty, duplicate tuple ids, a batch routed entirely to one
-shard).  A separate metrics class pins the home-shard routing contract:
+shard) and the per-pair ``scoring="loop"`` reference.  An ownership class
+pins that scoring takes each pair's shard from the consult stage and
+never re-hashes a tuple id.  A metrics class pins the home-shard routing
+contract:
 each shard's scoped ``serve.cache.shard<i>.*`` counters *sum* to the
 unsharded totals, because every cache consult happens exactly once
 somewhere.
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import REGISTRY, collecting
+from repro.serve import shard as shard_module
 from repro.serve import (
     MatchService,
     ShardedMatchService,
@@ -122,6 +126,27 @@ class TestShardInvariance:
             assert answer.best_id == best
             assert answer.probability == scores[best]
 
+    @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+    def test_sharded_loop_scoring_equals_unsharded_loop_and_kernel(
+        self, n_shards, trained_matcher, built_index, query_records,
+        baseline_answers,
+    ):
+        """The per-pair ``scoring="loop"`` reference behind the router:
+        bit-equal to the unsharded loop service, and to the kernel."""
+        sharded = ShardedMatchService(
+            trained_matcher, built_index, n_shards=n_shards, replicas=2,
+            scoring="loop",
+        )
+        assert sharded.scoring == "loop"
+        report = sharded.match_batch(query_records)
+        loop_report = MatchService(
+            trained_matcher, built_index, jobs=1, scoring="loop"
+        ).match_batch(query_records)
+        assert report.scored_pairs == loop_report.scored_pairs
+        answers = [a.to_dict() for a in report.answers]
+        assert answers == [a.to_dict() for a in loop_report.answers]
+        assert answers == baseline_answers
+
     def test_empty_batch(self, trained_matcher, built_index):
         sharded = ShardedMatchService(
             trained_matcher, built_index, n_shards=4, replicas=2
@@ -200,6 +225,47 @@ class TestShardInvariance:
         before = sharded.parameter_fingerprint()
         sharded.match_batch(query_records)
         assert sharded.parameter_fingerprint() == before
+
+
+class TestConsultStageOwnership:
+    """The shard whose view returned a candidate owns that pair: scoring
+    gathers its reference side from, and caches its score on, that shard.
+    ``shard_of_id`` runs only at construction, to partition the table."""
+
+    @pytest.mark.parametrize("scoring", ("kernel", "loop"))
+    def test_match_batch_never_rehashes_reference_ids(
+        self, scoring, trained_matcher, built_index, query_records,
+        monkeypatch,
+    ):
+        sharded = ShardedMatchService(
+            trained_matcher, built_index, n_shards=4, replicas=2,
+            scoring=scoring,
+        )
+        calls: list[str] = []
+
+        def counting(reference_id, n_shards):
+            calls.append(reference_id)
+            return shard_of_id(reference_id, n_shards)
+
+        monkeypatch.setattr(shard_module, "shard_of_id", counting)
+        report = sharded.match_batch(query_records[:8])
+        assert report.scored_pairs > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("n_shards", (2, 4, 8))
+    def test_scores_cached_on_the_owning_shard(
+        self, n_shards, trained_matcher, built_index, query_records
+    ):
+        sharded = ShardedMatchService(
+            trained_matcher, built_index, n_shards=n_shards, replicas=2
+        )
+        report = sharded.match_batch(query_records)
+        cached = 0
+        for shard_id, group in enumerate(sharded.groups):
+            for _key, candidate_id in group.primary.score_cache.keys():
+                assert shard_of_id(candidate_id, n_shards) == shard_id
+                cached += 1
+        assert cached == report.scored_pairs > 0
 
 
 class TestPerShardCacheMetrics:
