@@ -48,12 +48,17 @@ RETRY_SITES: dict[str, str] = {
     "er.blocking.token": "TokenBlocker.candidate_pairs rare-token probe (attempts=2)",
     "er.deeper.pair_features": "DeepER pair featurisation (attempts=2)",
     "serve.score": (
-        "MatchService batch scoring via DeepER.predict_proba; validated "
-        "shape/finiteness, retried under HOT_POLICY (attempts=2)"
+        "MatchService batch scoring, one canonical-order call per batch "
+        "through the batched kernel (repro.kernels.score_pairs; "
+        "DeepER.predict_proba under scoring='loop' or a trainable "
+        "composer); validated shape/finiteness, retried under HOT_POLICY "
+        "(attempts=2)"
     ),
     "serve.shard.query": (
-        "ShardedMatchService per-shard call (embed/candidates/score on "
-        "one shard group); budget = the group's replica count — an error "
+        "ShardedMatchService per-shard call on one shard group: home-shard "
+        "embeddings, candidate + score-cache consult, home-shard query "
+        "columns or the reference-row gather (scoring runs once, at the "
+        "router); budget = the group's replica count — an error "
         "fails the batch over to the next replica, which shares the "
         "shard's cache tier, so a recovered batch is bit-identical"
     ),

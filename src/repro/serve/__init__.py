@@ -12,14 +12,14 @@ across runs, hosts and ``jobs`` settings:
   hit/miss/eviction accounting;
 * :mod:`repro.serve.index` — build-once/probe-often LSH blocking index;
 * :mod:`repro.serve.service` — :class:`MatchService`, read-only
-  inference composing index lookup with one coalesced
-  ``predict_proba`` call per batch;
+  inference and the one batch pipeline: scatter-gather index lookup and
+  one coalesced scoring call per batch, unsharded as the one-shard case;
 * :mod:`repro.serve.workload` — seeded open-loop query generator;
 * :mod:`repro.serve.sim` — the micro-batching/admission-control
   event loop and its latency/throughput report;
-* :mod:`repro.serve.shard` — :class:`ShardedMatchService`,
-  scatter-gather over hash-partitioned shard replica groups with
-  byte-identical answers for any shard count.
+* :mod:`repro.serve.shard` — :class:`ShardedMatchService`, the same
+  pipeline over hash-partitioned shard replica groups (routing, failover
+  and report hooks), byte-identical answers for any shard count.
 """
 
 from repro.serve.cache import CacheStats, CacheStatsView, LRUCache, MISSING, content_key

@@ -3,11 +3,22 @@
 :class:`MatchService` answers "does tuple *t* match anything in the
 indexed table?" by composing two existing layers behind an inference-only
 contract: blocking-index candidate lookup (:class:`repro.serve.index.
-BlockingIndex`) followed by one :meth:`repro.er.deeper.DeepER.predict_proba`
-call over every not-yet-cached (query, candidate) pair in the batch.
-That single coalesced scoring call is the micro-batching win the
-scheduler (:mod:`repro.serve.sim`) exists to exploit: N concurrent
-queries cost one model invocation, not N.
+BlockingIndex`) followed by one scoring call over every not-yet-cached
+(query, candidate) pair in the batch.  That single coalesced scoring call
+is the micro-batching win the scheduler (:mod:`repro.serve.sim`) exists
+to exploit: N concurrent queries cost one model invocation, not N.
+
+One pipeline, any topology
+--------------------------
+:meth:`MatchService.match_batch` is the package's only batch pipeline,
+written scatter-gather (see its docstring).  A topology supplies three
+hooks — routing (:meth:`~MatchService._route`), how a stage runs on a
+shard group (:meth:`~MatchService._shard_call`) and the report type
+(:meth:`~MatchService._report`).  An unsharded service is the one-shard
+case: one group whose only replica is itself, trivial routing, direct
+stage calls that touch no ``serve.shard.*`` fault site, and a plain
+:class:`BatchReport`; :class:`repro.serve.shard.ShardedMatchService`
+overrides the three hooks.
 
 Read-only contract
 ------------------
@@ -38,8 +49,9 @@ are kept** — their contents are functions of the embedder configuration
 equal, never of the classifier weights being replaced.  Swapping to a
 matcher with the *same* parameter fingerprint is a no-op: no rebind, no
 cache clear, provably unchanged answers and cache counters.  The commit
-runs under validated, retried fault site ``serve.swap`` (idempotent: a
-retried commit observes the already-swapped fingerprint and no-ops).
+covers every replica of every shard group and runs under validated,
+retried fault site ``serve.swap`` (idempotent: a retried commit observes
+the already-swapped fingerprint and no-ops).
 """
 
 from __future__ import annotations
@@ -58,7 +70,7 @@ from repro.serve.cache import LRUCache, MISSING, CacheStatsView, content_key
 from repro.serve.index import BlockingIndex
 from repro.utils.validation import check_fitted
 
-__all__ = ["BatchReport", "MatchAnswer", "MatchService"]
+__all__ = ["BatchReport", "MatchAnswer", "MatchService", "ShardGroup"]
 
 
 def looks_like_fingerprint(value: object) -> bool:
@@ -106,6 +118,26 @@ class BatchReport:
     scored_pairs: int
     embedding_misses: int
     predict_calls: int
+
+
+@dataclass(frozen=True)
+class ShardGroup:
+    """One shard's replica set; ``replicas[0]`` is the primary."""
+
+    shard_id: int
+    replicas: tuple[MatchService, ...]
+
+    @property
+    def primary(self) -> MatchService:
+        return self.replicas[0]
+
+
+def _keyed_by_home(keys, home_by_key: dict, record_by_key: dict) -> list:
+    """``(key, record)`` lists per home shard: shards ascending, keys in order."""
+    batches: dict[int, list] = {}
+    for key in keys:
+        batches.setdefault(home_by_key[key], []).append((key, record_by_key[key]))
+    return sorted(batches.items())
 
 
 class MatchService:
@@ -165,21 +197,30 @@ class MatchService:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
         if scoring not in {"kernel", "loop"}:
             raise ValueError(f"scoring must be 'kernel' or 'loop', got {scoring!r}")
-        self.matcher = matcher
         self.index = index
         self.threshold = threshold
         self.jobs = jobs
         self.scoring = "loop" if matcher.composer is not None else scoring
         # Serving owns the matcher: inference-only mode, explicit jobs.
-        self.matcher.jobs = jobs
-        self.matcher.classifier.eval()
-        if self.matcher.composer is not None:
-            self.matcher.composer.eval()
+        self._bind(matcher)
         self.embedding_cache = LRUCache(embedding_cache_size,
                                         name=f"{cache_scope}embedding")
         self.score_cache = LRUCache(score_cache_size, name=f"{cache_scope}score")
         self.column_cache = LRUCache(embedding_cache_size,
                                      name=f"{cache_scope}columns")
+
+    def _bind(self, matcher: DeepER) -> None:
+        """Serve ``matcher`` from this replica: eval mode, this service's jobs."""
+        matcher.jobs = self.jobs
+        matcher.classifier.eval()
+        if matcher.composer is not None:
+            matcher.composer.eval()
+        self.matcher = matcher
+
+    @property
+    def groups(self) -> "tuple[ShardGroup, ...]":
+        """The shard groups serving batches: this service, alone."""
+        return (ShardGroup(shard_id=0, replicas=(self,)),)
 
     # ------------------------------------------------------------------ #
     # read-only contract
@@ -199,22 +240,24 @@ class MatchService:
 
         Validates compatibility first (same compare columns and
         composition — the embedder configuration the kept caches depend
-        on), then commits under validated fault site ``serve.swap``.
-        The commit clears exactly the score cache (model outputs) and
-        keeps the embedding/column caches (model-independent contents);
-        swapping to the currently served fingerprint is a no-op that
-        touches neither caches nor counters.
+        on), then commits for every replica of every shard group under
+        **one** validated fault site ``serve.swap`` call.  The commit
+        clears exactly the score caches (model outputs) and keeps the
+        embedding/column caches (model-independent contents); swapping to
+        the currently served fingerprint is a no-op that touches neither
+        caches nor counters.
         """
         check_fitted(matcher, "trained_")
-        if matcher.columns != self.matcher.columns:
+        served = self.matcher
+        if matcher.columns != served.columns:
             raise ValueError(
                 f"cannot swap matcher: compare columns differ "
-                f"({matcher.columns!r} != {self.matcher.columns!r})"
+                f"({matcher.columns!r} != {served.columns!r})"
             )
-        if matcher.composition != self.matcher.composition:
+        if matcher.composition != served.composition:
             raise ValueError(
                 f"cannot swap matcher: composition differs "
-                f"({matcher.composition!r} != {self.matcher.composition!r})"
+                f"({matcher.composition!r} != {served.composition!r})"
             )
         before = self.parameter_fingerprint()
         fingerprint = retry_call(
@@ -238,21 +281,28 @@ class MatchService:
         fingerprint = matcher.parameter_fingerprint()
         if fingerprint == self.parameter_fingerprint():
             return fingerprint
-        matcher.jobs = self.jobs
-        matcher.classifier.eval()
-        if matcher.composer is not None:
-            matcher.composer.eval()
-        self.matcher = matcher
-        # Invalidate exactly the model-dependent tier.  Embedding and
-        # column cache entries are functions of the embedder config
-        # (validated identical above), so they stay warm across the swap.
-        self.score_cache.clear()
+        for group in self.groups:
+            for replica in group.replicas:
+                replica._bind(matcher)
+            # Invalidate exactly the model-dependent tier.  Embedding and
+            # column cache entries are functions of the embedder config
+            # (validated identical above), so they stay warm across the
+            # swap.  Replicas share their group's tier: one clear each.
+            group.primary.score_cache.clear()
         return fingerprint
 
     @property
     def cache_stats(self) -> CacheStatsView:
-        """Combined hit/miss/eviction view over both caches."""
-        return CacheStatsView(self.embedding_cache.stats, self.score_cache.stats)
+        """Hit/miss/eviction view over every group's embedding+score caches.
+
+        Column caches are excluded, so bench rows report the same
+        ``cache_hit_rate`` definition sharded or not.
+        """
+        return CacheStatsView(*(
+            cache.stats
+            for group in self.groups
+            for cache in (group.primary.embedding_cache, group.primary.score_cache)
+        ))
 
     # ------------------------------------------------------------------ #
     # serving
@@ -265,15 +315,16 @@ class MatchService:
     def match_batch(self, records: list[dict[str, object]]) -> BatchReport:
         """Answer a coalesced batch of queries with one scoring call.
 
-        Stages: content-keyed embedding-cache consult → one
-        :func:`repro.par.pmap` embedding pass over the misses → candidate
-        lookup per query → score-cache consult → one validated, retried
-        ``predict_proba`` over every unique uncached pair → answers
-        assembled from the (now fully populated) score cache.
+        Stages: route distinct keys to home shards → embeddings on each
+        key's home shard → candidate lookup + score-cache consult on
+        every shard → sorted-union merge → :meth:`_score_canonical` →
+        each score written back to the shard owning its pair → answers
+        assembled from this batch's scores.  The topology hooks
+        :meth:`_route`, :meth:`_shard_call` and :meth:`_report` supply
+        routing, per-shard calls and the report.
         """
         if not records:
-            return BatchReport(answers=[], scored_pairs=0, embedding_misses=0,
-                               predict_calls=0)
+            return self._report(BatchReport([], 0, 0, 0), [], [], 0)
         inject("serve.cache.lookup")
         if _OBS.enabled:
             _OBS.counter("serve.requests").inc(float(len(records)))
@@ -281,53 +332,206 @@ class MatchService:
         keys = [content_key(record) for record in records]
         record_by_key = {k: r for k, r in zip(keys, records)}
         distinct = list(dict.fromkeys(keys))
+        groups = self.groups
+        home_by_key = dict(zip(distinct, self._route(distinct)))
+        failovers = 0
 
-        # Embedding stage: consult the cache once per *distinct* key, then
-        # embed the misses in one (possibly parallel) pass.
-        embeddings, embedding_hits = self.resolve_embeddings(
-            [(key, record_by_key[key]) for key in distinct]
-        )
+        # Embedding stage: consult the cache once per *distinct* key, on
+        # the key's home shard, then embed the misses in one (possibly
+        # parallel) pass there.
+        embeddings: dict[str, np.ndarray] = {}
+        hit_keys: set[str] = set()
+        home_misses = [0] * len(groups)
+        for shard_id, keyed in _keyed_by_home(distinct, home_by_key, record_by_key):
+            (shard_embeddings, shard_hits), used = self._shard_call(
+                groups[shard_id],
+                lambda svc, keyed=keyed: svc.resolve_embeddings(keyed),
+                validate=lambda r, keyed=keyed: (
+                    isinstance(r, tuple) and len(r) == 2
+                    and set(r[0]) == {k for k, _ in keyed}
+                ),
+            )
+            embeddings.update(shard_embeddings)
+            hit_keys |= shard_hits
+            home_misses[shard_id] = len(keyed) - len(shard_hits)
+            failovers += used
 
-        # Candidate stage: deterministic (sorted) candidate ids per query.
-        candidates_by_key = self.candidate_map(embeddings, distinct)
-
-        # Scoring stage: consult the score cache per unique pair, then send
-        # every uncached pair to the matcher in a single predict_proba call.
+        # Candidate + score-cache stage on every shard (each sees every
+        # query; its candidates are the global set ∩ its members).
         # ``scores_now`` carries this batch's scores locally so answers do
         # not depend on cache capacity (a 0-capacity cache stores nothing).
-        scores_now, hits_by_key, to_score = self.consult_scores(candidates_by_key)
-        predict_calls = 0
-        if to_score:
-            probabilities = self.score_uncached(to_score, record_by_key)
-            predict_calls = 1
-            for pair_key, probability in zip(to_score, probabilities):
-                scores_now[pair_key] = float(probability)
+        scores_now: dict[tuple[str, str], float] = {}
+        hits_by_key = dict.fromkeys(distinct, 0)
+        candidates_by_shard: list[dict[str, list[str]]] = []
+        to_score_by_shard: list[list[tuple[str, str]]] = []
+        def consult(svc):
+            local_candidates = svc.candidate_map(embeddings, distinct)
+            return local_candidates, svc.consult_scores(local_candidates)
+        for group in groups:
+            (local_candidates, (local_scores, local_hits, local_to_score)), used = \
+                self._shard_call(group, consult)
+            candidates_by_shard.append(local_candidates)
+            to_score_by_shard.append(local_to_score)
+            scores_now.update(local_scores)
+            for key, count in local_hits.items():
+                hits_by_key[key] += count
+            failovers += used
+
+        # Merge: sorted union of the shard candidate lists.  The shard
+        # views partition the reference table, so the union has no
+        # duplicates and sorting restores exactly the unsharded (sorted)
+        # candidate order; score ties later break to the smallest tuple
+        # id inside _assemble, sharded or not.  One shard's lists are
+        # already that union.
+        candidates_by_key = candidates_by_shard[0] if len(groups) == 1 else {
+            key: sorted(c for local in candidates_by_shard for c in local[key])
+            for key in distinct
+        }
+
+        # Scoring stage: one call over every shard's uncached pairs, then
+        # each score written back to the shard whose consult returned it.
+        owned = [(s, pairs) for s, pairs in enumerate(to_score_by_shard) if pairs]
+        to_score: list[tuple[str, str]] = []
+        if owned:
+            to_score, probabilities, used = self._score_canonical(
+                groups, owned, distinct, home_by_key, record_by_key
+            )
+            failovers += used
+            scores_now.update(zip(to_score, probabilities))
+            for s, pairs in owned:
+                score_cache = groups[s].primary.score_cache
+                for pair_key in pairs:
+                    score_cache.put(pair_key, scores_now[pair_key])
 
         answers = [
             self._assemble(
                 key, candidates_by_key[key], scores_now,
-                key in embedding_hits, hits_by_key[key],
+                key in hit_keys, hits_by_key[key],
             )
             for key in keys
         ]
         if _OBS.enabled:
             _OBS.counter("serve.batches").inc()
             _OBS.histogram("serve.batch_queries").observe(len(records))
-        return BatchReport(
+        report = BatchReport(
             answers=answers,
             scored_pairs=len(to_score),
-            embedding_misses=len(distinct) - len(embedding_hits),
-            predict_calls=predict_calls,
+            embedding_misses=len(distinct) - len(hit_keys),
+            predict_calls=1 if to_score else 0,
         )
+        return self._report(report, to_score_by_shard, home_misses, failovers)
+
+    def _score_canonical(self, groups, owned, distinct, home_by_key, record_by_key):
+        """Score the owners' uncached pairs in one call, in canonical order.
+
+        ``owned`` lists ``(shard_id, uncached pairs)`` per scoring shard.
+        Canonical order is key first-occurrence, then candidate id: the
+        order one shard's consult returns its pairs in, so a lone owner's
+        list is canonical as it stands and several are merged.  Each
+        pair's reference side comes from its owner.  The scored *work*
+        belongs to the shards — the cost model and the ShardWork
+        breakdown charge each shard its own pairs — but the floating-point
+        evaluation must not: a GEMM's summation strategy depends on its
+        batch shape, so scoring shard-by-shard would drift the
+        probabilities by ulps as N changes.  One call in canonical order
+        makes the bits a pure function of the pair set, i.e.
+        byte-identical for every shard count.
+
+        Returns the canonical pairs, their probabilities and the
+        failovers used.  The gathered stacks die with this frame, before
+        write-back and assembly (holding them raised peak RSS).
+        """
+        failovers = 0
+        order = None
+        if len(owned) == 1:
+            to_score = owned[0][1]
+        else:
+            pooled = [pair for _, pairs in owned for pair in pairs]
+            rank = {key: i for i, key in enumerate(distinct)}
+            order = sorted(
+                range(len(pooled)), key=lambda i: (rank[pooled[i][0]], pooled[i][1])
+            )
+            to_score = [pooled[i] for i in order]
+        if self.scoring == "kernel":
+            # Column stage: each scoring key's column stack once, on its
+            # home shard — one column-cache consult per key for any shard
+            # count.
+            columns_by_key: dict[str, np.ndarray] = {}
+            scoring_keys = dict.fromkeys(key for _, pairs in owned for key, _ in pairs)
+            for shard_id, keyed in _keyed_by_home(
+                scoring_keys, home_by_key, record_by_key
+            ):
+                shard_columns, used = self._shard_call(
+                    groups[shard_id],
+                    lambda svc, keyed=keyed: svc.resolve_columns(keyed),
+                    validate=lambda r, keyed=keyed: (
+                        isinstance(r, dict) and set(r) == {k for k, _ in keyed}
+                    ),
+                )
+                columns_by_key.update(shard_columns)
+                failovers += used
+            query_side = np.array([columns_by_key[key] for key, _ in to_score])
+            # Reference rows per owner, stitched into canonical order
+            # (exact row copies, bit-identical to one global gather).
+            parts = []
+            for s, pairs in owned:
+                wanted = [c for _, c in pairs]
+                rows, used = self._shard_call(
+                    groups[s],
+                    lambda svc, ids=wanted: svc.index.column_rows(ids),
+                    validate=lambda r, ids=wanted: (
+                        isinstance(r, np.ndarray) and len(r) == len(ids)
+                    ),
+                )
+                parts.append(rows)
+                failovers += used
+            reference_side = (
+                parts[0] if order is None else np.concatenate(parts)[order]
+            )
+        else:
+            query_side = [record_by_key[key] for key, _ in to_score]
+            references = [
+                groups[s].primary.index.record(c)
+                for s, pairs in owned for _, c in pairs
+            ]
+            reference_side = (
+                references if order is None else [references[i] for i in order]
+            )
+        return to_score, self.score_uncached(query_side, reference_side), failovers
 
     # ------------------------------------------------------------------ #
-    # pipeline stages (shared with the scatter-gather router)
+    # topology hooks (one shard; ShardedMatchService overrides all three)
+    # ------------------------------------------------------------------ #
+
+    def _route(self, keys: "list[str]") -> tuple:
+        """Home shard per distinct query key: every key homes on shard 0."""
+        return (0,) * len(keys)
+
+    def _shard_call(self, group: ShardGroup, call, validate=None):
+        """Run ``call(service)`` on ``group``; returns ``(result, failovers)``.
+
+        The one shard group's only replica is this service, so the stage
+        runs directly: no fault site, nothing to fail over to.
+        """
+        return call(self), 0
+
+    def _report(
+        self, report: BatchReport, to_score_by_shard, home_misses, failovers
+    ) -> BatchReport:
+        """The batch's report, flat: one shard has no breakdown to add.
+
+        A plain :class:`BatchReport` keeps :func:`repro.serve.sim.simulate`
+        on its flat cost model.
+        """
+        return report
+
+    # ------------------------------------------------------------------ #
+    # pipeline stages
     # ------------------------------------------------------------------ #
     # Each stage is a pure function of its inputs plus this service's
-    # cache state, so :class:`repro.serve.shard.ShardedMatchService` can
-    # run the same stages shard-by-shard — embeddings/columns on a query
-    # key's home shard, candidate lookup and scoring on every shard — and
-    # still merge to byte-identical answers.
+    # cache state, so :meth:`match_batch` can run them shard-by-shard —
+    # embeddings/columns on a query key's home shard, candidate lookup on
+    # every shard — and still merge to byte-identical answers.
 
     def resolve_embeddings(
         self, keyed_records: "list[tuple[str, dict[str, object]]]"
@@ -386,48 +590,6 @@ class MatchService:
                     hits_by_key[key] += 1
         return scores_now, hits_by_key, to_score
 
-    def score_uncached(
-        self,
-        to_score: "list[tuple[str, str]]",
-        record_by_key: "dict[str, dict[str, object]]",
-        columns_by_key: "dict[str, np.ndarray] | None" = None,
-    ) -> np.ndarray:
-        """One validated, retried scoring call over the uncached pairs.
-
-        Scores land in the score cache and are returned in ``to_score``
-        order.  ``columns_by_key`` lets the scatter-gather router supply
-        query columns it already resolved on each key's home shard; left
-        ``None``, the kernel path resolves them through this service's own
-        column cache.
-        """
-        if self.scoring == "kernel":
-            scorer = self._score_pairs_kernel
-            scorer_args = (to_score, record_by_key, columns_by_key)
-        else:
-            pair_records = [
-                (record_by_key[key], self.index.record(candidate_id))
-                for key, candidate_id in to_score
-            ]
-            scorer, scorer_args = self.matcher.predict_proba, (pair_records,)
-        probabilities = retry_call(
-            scorer,
-            *scorer_args,
-            site="serve.score",
-            policy=HOT_POLICY,
-            validate=lambda p: (
-                isinstance(p, np.ndarray)
-                and p.shape == (len(to_score),)
-                and bool(np.all(np.isfinite(p)))
-            ),
-        )
-        for pair_key, probability in zip(to_score, probabilities):
-            self.score_cache.put(pair_key, float(probability))
-        if _OBS.enabled:
-            _OBS.counter("serve.predict_calls").inc()
-            _OBS.counter("serve.scored_pairs").inc(float(len(to_score)))
-            _OBS.histogram("serve.score_batch_pairs").observe(len(to_score))
-        return probabilities
-
     def resolve_columns(
         self, keyed_records: "list[tuple[str, dict[str, object]]]"
     ) -> "dict[str, np.ndarray]":
@@ -455,30 +617,38 @@ class MatchService:
                 self.column_cache.put(key, stack[row])
         return columns
 
-    def _score_pairs_kernel(
-        self,
-        to_score: "list[tuple[str, str]]",
-        record_by_key: "dict[str, dict[str, object]]",
-        columns_by_key: "dict[str, np.ndarray] | None" = None,
-    ) -> np.ndarray:
-        """Batched scoring of the uncached pairs via :mod:`repro.kernels`.
+    def score_uncached(self, query_side, reference_side) -> "list[float]":
+        """One validated, retried scoring call over canonical-order pairs.
 
-        Query columns are embedded **once per unique tuple** — first from
-        the column cache, misses through one deduplicated
-        :func:`unique_column_stack` pass — and candidate columns are
-        gathered from the index's precomputed store, so no reference tuple
-        is ever re-embedded at serving time.  One classifier forward per
-        batch; with an unquantized store the probabilities are
-        bit-identical to the loop path's ``predict_proba``.
+        Kernel scoring takes the ``(pairs, columns, dim)`` query and
+        reference column stacks — one classifier forward, bit-identical
+        to ``predict_proba`` with an unquantized store; loop scoring takes
+        the two record lists and calls ``predict_proba``.  Returns the
+        probabilities in pair order.
         """
-        if columns_by_key is None:
-            columns_by_key = self.resolve_columns([
-                (key, record_by_key[key])
-                for key in dict.fromkeys(k for k, _ in to_score)
-            ])
-        u_cols = np.array([columns_by_key[key] for key, _ in to_score])
-        v_cols = self.index.column_rows([c for _, c in to_score])
-        return score_pairs(self.matcher.classifier, u_cols, v_cols)
+        if self.scoring == "kernel":
+            scorer = score_pairs
+            scorer_args = (self.matcher.classifier, query_side, reference_side)
+        else:
+            scorer = self.matcher.predict_proba
+            scorer_args = (list(zip(query_side, reference_side)),)
+        n_pairs = len(query_side)
+        probabilities = retry_call(
+            scorer,
+            *scorer_args,
+            site="serve.score",
+            policy=HOT_POLICY,
+            validate=lambda p: (
+                isinstance(p, np.ndarray)
+                and p.shape == (n_pairs,)
+                and bool(np.all(np.isfinite(p)))
+            ),
+        )
+        if _OBS.enabled:
+            _OBS.counter("serve.predict_calls").inc()
+            _OBS.counter("serve.scored_pairs").inc(float(n_pairs))
+            _OBS.histogram("serve.score_batch_pairs").observe(n_pairs)
+        return probabilities.tolist()
 
     def _assemble(
         self,

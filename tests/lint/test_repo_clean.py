@@ -55,25 +55,27 @@ def test_lint_covers_repo_files(repo_result):
 
 
 def test_shard_layer_is_clean_under_serve_contracts(repo_result):
-    # The scatter-gather router must satisfy the serving contracts with no
-    # baseline help: RL901 (read-only serving — no .fit/.backward/.data
-    # mutation) and RL1104 (serve purity closure) over the shard layer,
-    # plus RL401 guards on its hot metrics calls.  Zero findings in the
-    # repo-wide result could also mean the walk never saw the file, so a
-    # targeted single-file run proves it is both visited and clean.
-    shard_findings = [
-        f for f in repo_result.findings
-        if f.path.endswith("repro/serve/shard.py")
-    ]
-    assert shard_findings == [], (
-        "shard layer must lint clean without baseline entries:\n"
-        + "\n".join(f"{f.rule_id} {f.path}:{f.line} {f.message}" for f in shard_findings)
-    )
-    solo = lint_paths(
-        [REPO_ROOT / "src" / "repro" / "serve" / "shard.py"], root=REPO_ROOT
-    )
-    assert solo.files_checked == 1
-    assert solo.findings == []
+    # The scatter-gather router (the one match_batch pipeline in
+    # service.py) and the shard topology hooks (shard.py) must satisfy the
+    # serving contracts with no baseline help: RL901 (read-only serving —
+    # no .fit/.backward/.data mutation) and RL1104 (serve purity closure),
+    # plus RL401 guards on their hot metrics calls.  Zero findings in the
+    # repo-wide result could also mean the walk never saw a file, so a
+    # targeted single-file run proves each is both visited and clean.
+    for module in ("shard.py", "service.py"):
+        findings = [
+            f for f in repo_result.findings
+            if f.path.endswith(f"repro/serve/{module}")
+        ]
+        assert findings == [], (
+            f"serve/{module} must lint clean without baseline entries:\n"
+            + "\n".join(f"{f.rule_id} {f.path}:{f.line} {f.message}" for f in findings)
+        )
+        solo = lint_paths(
+            [REPO_ROOT / "src" / "repro" / "serve" / module], root=REPO_ROOT
+        )
+        assert solo.files_checked == 1
+        assert solo.findings == []
 
 
 def test_loop_package_is_clean_under_the_hot_and_fault_contracts(repo_result):

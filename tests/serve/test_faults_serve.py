@@ -6,7 +6,7 @@ import pytest
 
 from repro.faults import Fault, FaultPlan, RetryExhausted
 from repro.faults.sites import CORRUPT_SITES, LATENCY_ONLY_SITES, RETRY_SITES, all_sites
-from repro.serve import MatchService
+from repro.serve import BatchReport, MatchService
 
 
 def answers_dicts(service, batch):
@@ -109,3 +109,58 @@ class TestChaos:
                 MatchService(trained_matcher, built_index, jobs=1), batch
             )
         assert faulted == baseline
+
+
+class TestUnshardedTopology:
+    """The unsharded service is the one-shard case of the scatter-gather
+    pipeline: one group whose only replica is itself.  It has no replica
+    to fail over to, so it must never reach a ``serve.shard.*`` site —
+    chaos seeds 7 and 11 both schedule an error at ``serve.shard.query``
+    hit 0, which a one-replica group could not absorb — and its report
+    stays the flat :class:`BatchReport` that keeps ``simulate()`` on its
+    flat cost model."""
+
+    SHARD_SITES = ("serve.shard.query", "serve.shard.route")
+
+    def test_shard_site_errors_never_fire(
+        self, trained_matcher, built_index, query_records
+    ):
+        batches = (query_records[:6], query_records[3:9])
+        fresh = MatchService(trained_matcher, built_index, jobs=1)
+        baseline = [answers_dicts(fresh, batch) for batch in batches]
+        plan = FaultPlan([
+            Fault(site, "error", hits=(0, 1)) for site in self.SHARD_SITES
+        ])
+        with plan:
+            service = MatchService(trained_matcher, built_index, jobs=1)
+            faulted = [answers_dicts(service, batch) for batch in batches]
+        assert faulted == baseline
+        for site in self.SHARD_SITES:
+            assert plan.ledger.count(site=site) == 0
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_whole_catalog_chaos_leaves_answers_unchanged(
+        self, seed, trained_matcher, built_index, query_records
+    ):
+        batch = query_records[:8]
+        baseline = answers_dicts(
+            MatchService(trained_matcher, built_index, jobs=1), batch
+        )
+        plan = FaultPlan.chaos(seed)
+        assert any(
+            entry["site"] == "serve.shard.query" and entry["kind"] == "error"
+            for entry in plan.describe()
+        )
+        with plan:
+            faulted = answers_dicts(
+                MatchService(trained_matcher, built_index, jobs=1), batch
+            )
+        assert faulted == baseline
+        for site in self.SHARD_SITES:
+            assert plan.ledger.count(site=site) == 0
+
+    def test_match_batch_returns_the_flat_batch_report(
+        self, service, query_records
+    ):
+        assert type(service.match_batch(query_records[:4])) is BatchReport
+        assert type(service.match_batch([])) is BatchReport
