@@ -12,6 +12,10 @@ once through the batched matmul path — plus the int8 quantized-store
 gather feeding :func:`repro.kernels.pair_feature_matrix` directly.
 These measurements calibrate the kernel cost model in
 ``bench_e17_serving``.
+
+The ``sif embed`` row times SIF tuple and per-column embedding over a
+vocabulary of ~1,000 tokens, the size at which a per-record cost that
+grows with the vocabulary shows.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.embeddings import TupleEmbedder
 from repro.er import DeepER, LSHBlocker, pair_features
 from repro.kernels import pair_feature_matrix, quantize
 from repro.nn import Adam, LSTM, Tensor, bce_with_logits, mlp
@@ -183,6 +188,45 @@ def test_micro_quantized_gather_features(benchmark, scoring_setup):
     features = benchmark(run)
     assert features.shape[0] == 200
     assert store.nbytes < stack.nbytes
+
+
+@pytest.fixture(scope="module")
+def sif_setup():
+    """A SIF embedder over a 1,000-token vocabulary plus 100 records.
+
+    Every token occurs at least once and a Zipf tail repeats some of
+    them, so p(w) varies; each record also carries one never-seen token,
+    as typo'd serving traffic does.
+    """
+    gen = np.random.default_rng(11)
+    vocab = [f"tok{i}" for i in range(1000)]
+    documents = [vocab[start:start + 10] for start in range(0, 1000, 10)]
+    documents += [
+        [vocab[min(int(gen.zipf(1.3)), 1000) - 1] for _ in range(10)]
+        for _ in range(200)
+    ]
+    model = SkipGram(dim=24, window=4, epochs=1, rng=0).fit(documents)
+    records = [
+        {
+            "title": " ".join(vocab[(i * 7 + j * 13) % 1000] for j in range(6)),
+            "authors": " ".join(vocab[(i * 11 + j) % 1000] for j in range(2))
+            + f" unseen{i}",
+        }
+        for i in range(100)
+    ]
+    return TupleEmbedder(model, ["title", "authors"], method="sif"), records
+
+
+def test_micro_sif_embed(benchmark, sif_setup):
+    """SIF ``embed`` + ``embed_columns`` of 100 records (÷100 per record)."""
+    embedder, records = sif_setup
+
+    def run():
+        return [(embedder.embed(r), embedder.embed_columns(r)) for r in records]
+
+    embedded = benchmark(run)
+    assert len(embedded) == 100
+    assert len(embedder.model.vocabulary) == 1000
 
 
 # -- lint engine: cold parse vs warm cache ------------------------------------

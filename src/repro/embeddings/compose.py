@@ -39,13 +39,17 @@ def mean_compose(vectors: np.ndarray, dim: int) -> np.ndarray:
 
 
 def sif_weights(tokens: list[str], model: SkipGram, a: float = 1e-3) -> np.ndarray:
-    """Smoothed-inverse-frequency weights ``a / (a + p(w))`` per token."""
-    freqs = np.asarray(model.vocabulary.frequencies(), dtype=np.float64)
-    total = freqs.sum()
+    """Smoothed-inverse-frequency weights ``a / (a + p(w))`` per token.
+
+    p(w) is read from the vocabulary's probability table (0 for unknown
+    tokens), so a call costs O(tokens), not O(vocabulary).
+    """
+    vocabulary = model.vocabulary
+    probabilities = vocabulary.probabilities
     weights = []
     for token in tokens:
-        token_id = model.vocabulary.get(token)
-        p = freqs[token_id] / total if token_id is not None else 0.0
+        token_id = vocabulary.get(token)
+        p = probabilities[token_id] if token_id is not None else 0.0
         weights.append(a / (a + p))
     return np.asarray(weights)
 

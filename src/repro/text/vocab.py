@@ -5,13 +5,16 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator
 
+import numpy as np
+
 
 class Vocabulary:
     """Frequency-aware token index.
 
     Tokens are assigned ids in descending frequency order (ties broken
     alphabetically) so id 0 is always the most frequent token — a property
-    the negative-sampling table construction relies on.
+    the negative-sampling table construction relies on.  Every (re)build
+    also derives the unigram probability table :attr:`probabilities`.
     """
 
     def __init__(self, min_count: int = 1) -> None:
@@ -19,8 +22,7 @@ class Vocabulary:
             raise ValueError(f"min_count must be >= 1, got {min_count}")
         self.min_count = min_count
         self.counts: Counter[str] = Counter()
-        self._token_to_id: dict[str, int] = {}
-        self._id_to_token: list[str] = []
+        self._rebuild()
 
     # ------------------------------------------------------------------ #
     # construction
@@ -47,6 +49,9 @@ class Vocabulary:
         kept.sort(key=lambda item: (-item[1], item[0]))
         self._id_to_token = [token for token, _ in kept]
         self._token_to_id = {token: i for i, token in enumerate(self._id_to_token)}
+        freqs = np.asarray(self.frequencies(), dtype=np.float64)
+        self._probabilities = freqs / freqs.sum()
+        self._probabilities.flags.writeable = False
 
     # ------------------------------------------------------------------ #
     # lookup
@@ -95,3 +100,12 @@ class Vocabulary:
     def frequencies(self) -> list[int]:
         """Counts aligned with id order (used for sampling tables)."""
         return [self.counts[token] for token in self._id_to_token]
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """Read-only unigram probabilities p(w) aligned with id order.
+
+        Built with the ids by every (re)build, so a lookup is one index
+        instead of a pass over the whole vocabulary.
+        """
+        return self._probabilities

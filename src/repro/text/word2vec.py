@@ -102,8 +102,7 @@ class SkipGram:
     def _keep_probabilities(self) -> np.ndarray | None:
         if self.subsample <= 0:
             return None
-        freqs = np.asarray(self.vocabulary.frequencies(), dtype=np.float64)
-        rel = freqs / freqs.sum()
+        rel = self.vocabulary.probabilities
         keep = np.minimum(1.0, np.sqrt(self.subsample / rel) + self.subsample / rel)
         return keep
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.embeddings import (
     sif_weights,
     table_embedding,
 )
-from repro.text import SkipGram
+from repro.text import SkipGram, Vocabulary, word_tokenize
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +87,98 @@ class TestTupleEmbedder:
         constant = np.ones(12)
         embedder = TupleEmbedder(model, ["a"], vector_fn=lambda t: constant)
         assert np.allclose(embedder.embed({"a": "anything at all"}), 1.0)
+
+
+def reference_sif_weights(tokens, model, a=1e-3):
+    """SIF weights by the per-call formula: rebuild p(w) from the counts."""
+    freqs = np.asarray(model.vocabulary.frequencies(), dtype=np.float64)
+    weights = []
+    for token in tokens:
+        token_id = model.vocabulary.get(token)
+        p = freqs[token_id] / freqs.sum() if token_id is not None else 0.0
+        weights.append(a / (a + p))
+    return np.asarray(weights)
+
+
+def reference_sif_compose(tokens, model):
+    """SIF composition of ``tokens`` weighted by the reference formula."""
+    vectors = np.array(
+        [model.vector(t) if t in model else np.zeros(model.dim) for t in tokens]
+    )
+    weights = reference_sif_weights(tokens, model)
+    total = weights.sum()
+    if total < 1e-12:
+        return np.zeros(model.dim)
+    return (vectors * weights[:, None]).sum(axis=0) / total
+
+
+SIF_RECORDS = [
+    {"a": "widget green", "b": "red red small"},
+    {"a": "gadget unseen", "b": None},
+    {"a": "typoo", "b": "device widget widget"},
+    {"a": "", "b": "large"},
+    {"a": None, "b": None},
+]
+
+
+class TestSIFProbabilityTable:
+    """SIF reads p(w) from the vocabulary's table, bit for bit the value
+    the per-call formula gives, and never rescans the counts."""
+
+    @pytest.mark.parametrize("tokens", [
+        ["widget", "green", "device"],     # in vocabulary
+        ["unseen", "typoo"],               # out of vocabulary
+        ["widget", "widget", "red", "widget", "zzz"],  # repeated + mixed
+        [],
+    ])
+    def test_weights_equal_reference(self, model, tokens):
+        weights = sif_weights(tokens, model)
+        assert np.array_equal(weights, reference_sif_weights(tokens, model))
+        assert weights.dtype == np.float64
+
+    def test_embed_equals_reference_composition(self, model):
+        embedder = TupleEmbedder(model, ["a", "b"], method="sif")
+        for record in SIF_RECORDS:
+            expected = reference_sif_compose(embedder.tokens_of(record), model)
+            assert np.array_equal(embedder.embed(record), expected)
+
+    def test_embed_columns_equals_reference_composition(self, model):
+        embedder = TupleEmbedder(model, ["a", "b"], method="sif")
+        for record in SIF_RECORDS:
+            expected = np.zeros((2, model.dim))
+            for idx, column in enumerate(embedder.columns):
+                tokens = word_tokenize(record[column] or "")
+                if tokens:
+                    expected[idx] = reference_sif_compose(tokens, model)
+            assert np.array_equal(embedder.embed_columns(record), expected)
+
+    def test_embedding_never_calls_frequencies(self, model, monkeypatch):
+        calls: list[Vocabulary] = []
+        original = Vocabulary.frequencies
+
+        def counting(vocabulary):
+            calls.append(vocabulary)
+            return original(vocabulary)
+
+        monkeypatch.setattr(Vocabulary, "frequencies", counting)
+        embedder = TupleEmbedder(model, ["a", "b"], method="sif")
+        for record in SIF_RECORDS:
+            embedder.embed(record)
+            embedder.embed_columns(record)
+        assert calls == []
+
+    @pytest.mark.parametrize("documents,min_count", [
+        ([], 1),
+        ([["widget", "green"]], 5),    # min_count filters out every token
+    ])
+    def test_empty_vocabulary_weights_are_one(self, documents, min_count):
+        empty = SkipGram(dim=4)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            empty.vocabulary = Vocabulary.from_documents(documents, min_count)
+            weights = sif_weights(["widget", "green"], empty)
+        assert len(empty.vocabulary) == 0
+        assert np.array_equal(weights, [1.0, 1.0])
 
 
 class TestColumnTableEmbeddings:

@@ -75,6 +75,19 @@ class TestFineTune:
         assert "rareword" not in tuned
         assert "coffee" in tuned
 
+    def test_probability_table_matches_merged_counts(self, base_model):
+        tuned = fine_tune(
+            base_model, [["espresso", "coffee"]] * 10 + [["rareword"]],
+            epochs=1, min_count=5, rng=0,
+        )
+        freqs = np.asarray(tuned.vocabulary.frequencies(), dtype=np.float64)
+        assert np.array_equal(tuned.vocabulary.probabilities, freqs / freqs.sum())
+        assert "espresso" in tuned and "rareword" not in tuned
+        assert not np.array_equal(
+            tuned.vocabulary.probabilities[:len(base_model.vocabulary)],
+            base_model.vocabulary.probabilities,
+        )
+
     def test_original_untouched(self, base_model):
         before = base_model.vectors_.copy()
         fine_tune(base_model, [["espresso", "coffee"]] * 10, epochs=1, rng=0)

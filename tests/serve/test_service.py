@@ -7,6 +7,7 @@ import pytest
 
 from repro.obs import REGISTRY, collecting
 from repro.serve import MatchService
+from repro.text import Vocabulary
 
 
 class TestConstruction:
@@ -159,3 +160,24 @@ class TestReadOnlyContract:
     def test_matcher_stays_in_eval_mode(self, service, query_records):
         service.match_batch(query_records[:6])
         assert not service.matcher.classifier.training
+
+
+class TestEmbeddingCost:
+    def test_match_batch_never_rescans_vocabulary_counts(
+        self, service, query_records, monkeypatch
+    ):
+        """The SIF matcher's weights come from the vocabulary's probability
+        table: serving never-seen records never calls ``frequencies``."""
+        calls: list[Vocabulary] = []
+        original = Vocabulary.frequencies
+
+        def counting(vocabulary):
+            calls.append(vocabulary)
+            return original(vocabulary)
+
+        monkeypatch.setattr(Vocabulary, "frequencies", counting)
+        assert service.matcher.embedder.method == "sif"
+        report = service.match_batch(query_records[:8])
+        assert report.embedding_misses == 8
+        assert report.scored_pairs > 0
+        assert calls == []

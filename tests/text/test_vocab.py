@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,15 @@ class TestVocabulary:
         vocab = Vocabulary.from_documents([["a", "a", "b", "c", "c", "c"]])
         freqs = vocab.frequencies()
         assert freqs == [3, 2, 1]
+        assert vocab.probabilities.tolist() == [3 / 6, 2 / 6, 1 / 6]
+
+    def test_probabilities_read_only_after_every_rebuild(self):
+        vocab = Vocabulary.from_documents([["a", "b"]])
+        with pytest.raises(ValueError):
+            vocab.probabilities[0] = 1.0
+        vocab.add_documents([["c"]])
+        with pytest.raises(ValueError):
+            vocab.probabilities[:] = 0.0
 
     def test_invalid_min_count(self):
         with pytest.raises(ValueError):
@@ -82,3 +92,23 @@ def test_frequencies_monotone_property(documents):
     vocab = Vocabulary.from_documents(documents)
     freqs = vocab.frequencies()
     assert freqs == sorted(freqs, reverse=True)
+
+
+documents_strategy = st.lists(
+    st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=8),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(documents_strategy, documents_strategy, st.integers(1, 3))
+def test_probabilities_match_counts_property(first, second, min_count):
+    """The table is ``freqs / freqs.sum()`` element by element, also after a
+    second ``add_documents`` changes the total."""
+    vocab = Vocabulary.from_documents(first, min_count=min_count)
+    for _ in range(2):
+        freqs = np.asarray(vocab.frequencies(), dtype=np.float64)
+        assert np.array_equal(vocab.probabilities, freqs / freqs.sum())
+        assert vocab.probabilities.dtype == np.float64
+        vocab.add_documents(second)

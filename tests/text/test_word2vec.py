@@ -73,6 +73,10 @@ class TestTraining:
         docs = [["the", "the", "cat"], ["the", "dog", "the"]] * 50
         model = SkipGram(dim=8, epochs=2, subsample=1e-2, rng=0).fit(docs)
         assert "the" in model
+        freqs = np.asarray(model.vocabulary.frequencies(), dtype=np.float64)
+        rel = freqs / freqs.sum()
+        expected = np.minimum(1.0, np.sqrt(1e-2 / rel) + 1e-2 / rel)
+        assert np.array_equal(model._keep_probabilities(), expected)
 
     def test_deterministic_given_seed(self):
         docs = [["a", "b", "c"], ["b", "c", "d"]] * 20
@@ -93,6 +97,11 @@ class TestAnalogyAndPersistence:
         loaded = SkipGram.load(str(path))
         assert np.allclose(loaded.vector("france"), country_model.vector("france"))
         assert loaded.vocabulary.tokens == country_model.vocabulary.tokens
+        freqs = np.asarray(loaded.vocabulary.frequencies(), dtype=np.float64)
+        assert np.array_equal(loaded.vocabulary.probabilities, freqs / freqs.sum())
+        assert np.array_equal(
+            loaded.vocabulary.probabilities, country_model.vocabulary.probabilities
+        )
 
     def test_loaded_model_answers_queries(self, country_model, tmp_path):
         path = tmp_path / "model.npz"
