@@ -16,6 +16,10 @@ These measurements calibrate the kernel cost model in
 The ``sif embed`` row times SIF tuple and per-column embedding over a
 vocabulary of ~1,000 tokens, the size at which a per-record cost that
 grows with the vocabulary shows.
+
+The ``fd repair`` row times minimal FD repair of one 2,000-row slice
+shaped like the gateway's ``clean`` requests: one FD, ~15 % of rows
+disagreeing with their group's majority.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cleaning import FDRepairer
+from repro.data import FunctionalDependency, Table
 from repro.embeddings import TupleEmbedder
 from repro.er import DeepER, LSHBlocker, pair_features
 from repro.kernels import pair_feature_matrix, quantize
@@ -227,6 +233,27 @@ def test_micro_sif_embed(benchmark, sif_setup):
     embedded = benchmark(run)
     assert len(embedded) == 100
     assert len(embedder.model.vocabulary) == 1000
+
+
+@pytest.fixture(scope="module")
+def fd_slice():
+    """2,000 rows x 4 columns; ``dept_id -> dept_name`` fails on ~15 % of rows."""
+    gen = np.random.default_rng(3)
+    rows = []
+    for i in range(2000):
+        dept = int(gen.integers(12))
+        divergent = gen.random() < 0.15
+        name = f"dept-x{int(gen.integers(5))}" if divergent else f"dept-{dept}"
+        rows.append([f"s{i}", f"D{dept}", name, f"city-{int(gen.integers(6))}"])
+    return Table("slice", ["record_id", "dept_id", "dept_name", "city"], rows)
+
+
+def test_micro_fd_repair(benchmark, fd_slice):
+    """Majority-vote repair of the slice's one FD (per repair call)."""
+    fd = FunctionalDependency(("dept_id",), "dept_name")
+    repaired, report = benchmark(FDRepairer([fd]).repair, fd_slice)
+    assert fd.holds(repaired)
+    assert 200 < len(report) < 400
 
 
 # -- lint engine: cold parse vs warm cache ------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.cleaning.imputation import _BaseImputer
 from repro.data.dependencies import FunctionalDependency
 from repro.data.table import Table
-from repro.data.types import is_missing
 
 
 def blank_conflicts(
@@ -25,14 +24,9 @@ def blank_conflicts(
     blanked = table.copy(f"{table.name}_conflicts_blanked")
     cells: set[tuple[int, str]] = set()
     for fd in fds:
-        groups: dict[tuple[object, ...], list[int]] = {}
-        for i in range(table.num_rows):
-            key = tuple(table.cell(i, c) for c in fd.lhs)
-            if any(is_missing(v) for v in key) or is_missing(table.cell(i, fd.rhs)):
-                continue
-            groups.setdefault(key, []).append(i)
+        groups, rhs = fd.group_rows(table)
         for rows in groups.values():
-            values = {table.cell(r, fd.rhs) for r in rows}
+            values = {rhs[r] for r in rows}
             if len(values) <= 1:
                 continue
             for row in rows:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from repro.data.dependencies import FunctionalDependency
 from repro.data.table import Table
-from repro.data.types import is_missing
 
 
 @dataclass(frozen=True)
@@ -52,43 +51,50 @@ class FDRepairer:
         self.max_passes = max_passes
 
     def repair(self, table: Table) -> tuple[Table, RepairReport]:
-        """Return ``(repaired_copy, report)``; the input is untouched."""
+        """Return ``(repaired_copy, report)``; the input is untouched.
+
+        An FD's run writes only its rhs, which is never in its lhs, and
+        leaves each of its groups with one rhs value, so running it again
+        changes nothing until another FD writes one of its columns.  Only
+        such stale FDs run: every pass ends with the table and report that
+        running every FD would give, and the passes stop once none is stale.
+        """
         repaired = table.copy(f"{table.name}_repaired")
         report = RepairReport()
+        stale = set(range(len(self.fds)))
         for _ in range(self.max_passes):
-            changed = False
-            for fd in self.fds:
-                changed |= self._repair_fd(repaired, fd, report)
-            if not changed:
+            for i, fd in enumerate(self.fds):
+                if i in stale:
+                    stale.discard(i)
+                    if self._repair_fd(repaired, fd, report):
+                        stale.update(
+                            j for j, other in enumerate(self.fds)
+                            if j != i and fd.rhs in (other.rhs, *other.lhs)
+                        )
+            if not stale:
                 break
         return repaired, report
 
     def _repair_fd(
         self, table: Table, fd: FunctionalDependency, report: RepairReport
     ) -> bool:
-        groups: dict[tuple[object, ...], list[int]] = {}
-        for i in range(table.num_rows):
-            key = tuple(table.cell(i, c) for c in fd.lhs)
-            if any(is_missing(v) for v in key) or is_missing(table.cell(i, fd.rhs)):
-                continue
-            groups.setdefault(key, []).append(i)
+        groups, values = fd.group_rows(table)
+        reason = f"fd:{fd}"
         changed = False
-        for key, rows in groups.items():
+        for rows in groups.values():
             counts: dict[object, int] = {}
             for row in rows:
-                value = table.cell(row, fd.rhs)
+                value = values[row]
                 counts[value] = counts.get(value, 0) + 1
             if len(counts) <= 1:
                 continue
             # Majority value; deterministic tie-break by string form.
             majority = max(counts.items(), key=lambda kv: (kv[1], str(kv[0])))[0]
             for row in rows:
-                value = table.cell(row, fd.rhs)
+                value = values[row]
                 if value != majority:
                     table.set_cell(row, fd.rhs, majority)
-                    report.repairs.append(
-                        Repair(row, fd.rhs, value, majority, f"fd:{fd}")
-                    )
+                    report.repairs.append(Repair(row, fd.rhs, value, majority, reason))
                     changed = True
         return changed
 

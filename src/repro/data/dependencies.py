@@ -42,12 +42,12 @@ class FunctionalDependency:
         Rows with a missing value in any participating column are skipped
         (missing values never witness a violation).
         """
-        groups = self._group_rows(table)
+        groups, rhs = self.group_rows(table)
         bad_pairs: list[tuple[int, int]] = []
         for rows in groups.values():
             by_rhs: dict[object, list[int]] = {}
             for row in rows:
-                by_rhs.setdefault(table.cell(row, self.rhs), []).append(row)
+                by_rhs.setdefault(rhs[row], []).append(row)
             if len(by_rhs) <= 1:
                 continue
             buckets = list(by_rhs.values())
@@ -66,14 +66,33 @@ class FunctionalDependency:
             rows.add(b)
         return rows
 
-    def _group_rows(self, table: Table) -> dict[tuple[object, ...], list[int]]:
+    def group_rows(
+        self, table: Table
+    ) -> tuple[dict[tuple[object, ...], list[int]], list[object]]:
+        """Row indices by lhs value, and the rhs column they index.
+
+        Each group is placed at its first row, as a row-by-row scan places
+        it.  Rows with a missing value in any lhs column or in the rhs are
+        left out.  The columns are read whole, and ``is_missing`` runs on
+        an lhs key only while it has no group: once per distinct
+        non-missing key, since keys that compare equal are equally
+        missing.  The rhs is ``Table.column``'s shared list, not a copy.
+        A table without rows reads no column and gives ``({}, [])``.
+        """
+        if not table.num_rows:
+            return {}, []
+        keys = zip(*(table.column(c) for c in self.lhs))
+        rhs = table.column(self.rhs)
         groups: dict[tuple[object, ...], list[int]] = {}
-        for i in range(table.num_rows):
-            key_vals = tuple(table.cell(i, c) for c in self.lhs)
-            if any(is_missing(v) for v in key_vals) or is_missing(table.cell(i, self.rhs)):
+        for i, (key, value) in enumerate(zip(keys, rhs)):
+            if is_missing(value):
                 continue
-            groups.setdefault(key_vals, []).append(i)
-        return groups
+            rows = groups.get(key)
+            if rows is not None:
+                rows.append(i)
+            elif not any(map(is_missing, key)):
+                groups[key] = [i]
+        return groups, rhs
 
 
 def violation_rate(table: Table, fds: list[FunctionalDependency]) -> float:
@@ -120,7 +139,7 @@ def fd_error(fd: FunctionalDependency, table: Table) -> float:
     go; 0.0 means the FD holds exactly.  This is the standard measure for
     *approximate* FDs over dirty data.
     """
-    groups = fd._group_rows(table)
+    groups, rhs = fd.group_rows(table)
     total = sum(len(rows) for rows in groups.values())
     if total == 0:
         return 0.0
@@ -128,7 +147,7 @@ def fd_error(fd: FunctionalDependency, table: Table) -> float:
     for rows in groups.values():
         counts: dict[object, int] = {}
         for row in rows:
-            value = table.cell(row, fd.rhs)
+            value = rhs[row]
             counts[value] = counts.get(value, 0) + 1
         removals += len(rows) - max(counts.values())
     return removals / total
@@ -157,7 +176,7 @@ def discover_approximate_fds(
                 if any(set(prev) <= set(lhs) for prev in minimal_lhs[rhs]):
                     continue
                 fd = FunctionalDependency(lhs, rhs)
-                groups = fd._group_rows(table)
+                groups, _ = fd.group_rows(table)
                 multi = sum(1 for rows in groups.values() if len(rows) > 1)
                 if multi < min_support:
                     continue
@@ -171,10 +190,10 @@ def discover_approximate_fds(
 def _holds_with_support(
     fd: FunctionalDependency, table: Table, min_support: int
 ) -> bool:
-    groups = fd._group_rows(table)
+    groups, rhs = fd.group_rows(table)
     multi = 0
     for rows in groups.values():
-        rhs_values = {table.cell(r, fd.rhs) for r in rows}
+        rhs_values = {rhs[r] for r in rows}
         if len(rhs_values) > 1:
             return False
         if len(rows) > 1:
