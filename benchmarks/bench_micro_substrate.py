@@ -13,9 +13,17 @@ gather feeding :func:`repro.kernels.pair_feature_matrix` directly.
 These measurements calibrate the kernel cost model in
 ``bench_e17_serving``.
 
-The ``sif embed`` row times SIF tuple and per-column embedding over a
+The ``serving features`` rows time the feature kernel at wallbench
+``bulk``'s shape: 1,015 pairs over 16 query rows and a 155-row
+reference store (3 columns, dim 40).  One row hands the kernel each
+side's distinct rows plus a per-pair index (norms and unit vectors per
+distinct row), the other the per-pair stacks; both equal the per-pair
+loop bit for bit.
+
+The ``sif embed`` rows time SIF tuple and per-column embedding over a
 vocabulary of ~1,000 tokens, the size at which a per-record cost that
-grows with the vocabulary shows.
+grows with the vocabulary shows: once as two calls (``embed`` +
+``embed_columns``) and once as the one token pass that makes both.
 
 The ``fd repair`` row times minimal FD repair of one 2,000-row slice
 shaped like the gateway's ``clean`` requests: one FD, ~15 % of rows
@@ -31,7 +39,8 @@ from repro.cleaning import FDRepairer
 from repro.data import FunctionalDependency, Table
 from repro.embeddings import TupleEmbedder
 from repro.er import DeepER, LSHBlocker, pair_features
-from repro.kernels import pair_feature_matrix, quantize
+from repro.er.deeper import _pair_feature_row
+from repro.kernels import PairSide, pair_feature_matrix, quantize
 from repro.nn import Adam, LSTM, Tensor, bce_with_logits, mlp
 from repro.text import SkipGram
 
@@ -196,6 +205,63 @@ def test_micro_quantized_gather_features(benchmark, scoring_setup):
     assert store.nbytes < stack.nbytes
 
 
+class _RowsEmbedder:
+    """A record is a ``(rows, i)`` handle; its column stack is ``rows[i]``."""
+
+    @staticmethod
+    def embed_columns(record):
+        rows, i = record
+        return rows[i]
+
+
+@pytest.fixture(scope="module")
+def serving_batch():
+    """``bulk``'s scoring call: 16 query rows x ~64 candidates each
+    (1,015 pairs) over a 155-row store, in canonical (query-major) order."""
+    gen = np.random.default_rng(17)
+    queries = gen.normal(size=(16, 3, 40))
+    store = quantize(gen.normal(size=(155, 3, 40)), "none")
+    query_index = np.repeat(np.arange(16), 64)[:1015]
+    reference_index = np.concatenate(
+        [np.sort(gen.choice(155, size=64, replace=False)) for _ in range(16)]
+    )[:1015]
+    loop = np.array([
+        _pair_feature_row(((queries, q), (store.codes, r)), _RowsEmbedder)
+        for q, r in zip(query_index, reference_index)
+    ])
+    return queries, store, query_index, reference_index, loop
+
+
+def test_micro_serving_features(benchmark, serving_batch):
+    """Feature kernel over distinct rows + per-pair indices (per call)."""
+    queries, store, query_index, reference_index, loop = serving_batch
+
+    def run():
+        place: dict[int, int] = {}
+        local = [place.setdefault(int(r), len(place)) for r in reference_index]
+        return pair_feature_matrix(
+            PairSide(queries, query_index),
+            PairSide(store.rows(np.array(list(place))), np.array(local)),
+        )
+
+    features = benchmark(run)
+    assert np.array_equal(features, loop)
+
+
+def test_micro_serving_features_per_pair(benchmark, serving_batch):
+    """The same call over per-pair stacks: every pair's query and store
+    row gathered first (per call)."""
+    queries, store, query_index, reference_index, loop = serving_batch
+    query_list = list(queries)
+
+    def run():
+        u_cols = np.array([query_list[q] for q in query_index])
+        return pair_feature_matrix(u_cols, store.rows(reference_index))
+
+    features = benchmark(run)
+    assert np.array_equal(features, loop)
+
+
 @pytest.fixture(scope="module")
 def sif_setup():
     """A SIF embedder over a 1,000-token vocabulary plus 100 records.
@@ -233,6 +299,20 @@ def test_micro_sif_embed(benchmark, sif_setup):
     embedded = benchmark(run)
     assert len(embedded) == 100
     assert len(embedder.model.vocabulary) == 1000
+
+
+def test_micro_sif_embed_fused(benchmark, sif_setup):
+    """The same 100 records through ``embed_with_columns``: one token
+    pass makes both outputs, bit-identical to the two calls."""
+    embedder, records = sif_setup
+
+    def run():
+        return [embedder.embed_with_columns(r) for r in records]
+
+    embedded = benchmark(run)
+    for record, (vector, columns) in zip(records, embedded):
+        assert np.array_equal(vector, embedder.embed(record))
+        assert np.array_equal(columns, embedder.embed_columns(record))
 
 
 @pytest.fixture(scope="module")

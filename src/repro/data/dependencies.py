@@ -59,12 +59,19 @@ class FunctionalDependency:
         return sorted(set(bad_pairs))
 
     def violating_rows(self, table: Table) -> set[int]:
-        """All row indices involved in at least one violation."""
-        rows: set[int] = set()
-        for a, b in self.violations(table):
-            rows.add(a)
-            rows.add(b)
-        return rows
+        """All row indices involved in at least one violation.
+
+        A row is in a violating pair exactly when its lhs group holds
+        more than one rhs value (by the dict-key equality
+        :meth:`violations` buckets with), so no pair is listed.
+        """
+        groups, rhs = self.group_rows(table)
+        return {
+            row
+            for rows in groups.values()
+            if len({rhs[r] for r in rows}) > 1
+            for row in rows
+        }
 
     def group_rows(
         self, table: Table
@@ -139,7 +146,11 @@ def fd_error(fd: FunctionalDependency, table: Table) -> float:
     go; 0.0 means the FD holds exactly.  This is the standard measure for
     *approximate* FDs over dirty data.
     """
-    groups, rhs = fd.group_rows(table)
+    return _g3_error(*fd.group_rows(table))
+
+
+def _g3_error(groups: dict, rhs: list) -> float:
+    """:func:`fd_error` over groups and rhs already taken by ``group_rows``."""
     total = sum(len(rows) for rows in groups.values())
     if total == 0:
         return 0.0
@@ -176,11 +187,11 @@ def discover_approximate_fds(
                 if any(set(prev) <= set(lhs) for prev in minimal_lhs[rhs]):
                     continue
                 fd = FunctionalDependency(lhs, rhs)
-                groups, _ = fd.group_rows(table)
+                groups, rhs_values = fd.group_rows(table)
                 multi = sum(1 for rows in groups.values() if len(rows) > 1)
                 if multi < min_support:
                     continue
-                error = fd_error(fd, table)
+                error = _g3_error(groups, rhs_values)
                 if error <= max_error:
                     found.append((fd, error))
                     minimal_lhs[rhs].append(lhs)

@@ -90,32 +90,78 @@ class TupleEmbedder:
         return np.zeros(self.model.dim)
 
     @property
+    def vector_fn(self) -> VectorFn | None:
+        """The token → vector override, or None for the default lookup."""
+        fn = self._vector_fn
+        if getattr(fn, "__func__", None) is TupleEmbedder._default_vector:
+            return None
+        return fn
+
+    @property
     def dim(self) -> int:
         return self.model.dim
 
-    def tokens_of(self, record: dict[str, object]) -> list[str]:
-        """Token stream of a record over the configured columns."""
-        tokens: list[str] = []
+    def _column_tokens(self, record: dict[str, object]) -> list[list[str]]:
+        """Each configured column's tokens; ``[]`` for a missing value."""
+        tokens: list[list[str]] = []
         for column in self.columns:
             value = record.get(column)
-            if is_missing(value):
-                continue
-            tokens.extend(word_tokenize(str(value)))
+            tokens.append([] if is_missing(value) else word_tokenize(str(value)))
         return tokens
+
+    def tokens_of(self, record: dict[str, object]) -> list[str]:
+        """Token stream of a record over the configured columns."""
+        return [token for tokens in self._column_tokens(record) for token in tokens]
+
+    def _token_pass(
+        self, record: dict[str, object]
+    ) -> "tuple[np.ndarray | None, np.ndarray | None, list[tuple[int, int, int]]]":
+        """One pass over a record's tokens, shared by every composition.
+
+        Returns the whole record's token vectors stacked in token order,
+        their SIF weights (``None`` for mean) and, per column with tokens,
+        ``(position, start, stop)``: its rows of that stack.  Each token
+        is tokenised, looked up and weighted once.
+        """
+        tokens: list[str] = []
+        spans: list[tuple[int, int, int]] = []
+        for position, column_tokens in enumerate(self._column_tokens(record)):
+            if column_tokens:
+                spans.append((position, len(tokens), len(tokens) + len(column_tokens)))
+                tokens.extend(column_tokens)
+        if not tokens:
+            return None, None, spans
+        vectors = np.array([self._vector_fn(t) for t in tokens])
+        weights = sif_weights(tokens, self.model) if self.method == "sif" else None
+        return vectors, weights, spans
+
+    def _average(self, vectors: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+        """Mean of token vectors, or their SIF average (zero when the
+        weights vanish)."""
+        if weights is None:
+            return mean_compose(vectors, self.dim)
+        total = weights.sum()
+        if total < 1e-12:
+            return np.zeros(self.dim)
+        return (vectors * weights[:, None]).sum(axis=0) / total
+
+    def _tuple_vector(self, vectors, weights, spans) -> np.ndarray:
+        if not spans:
+            return np.zeros(self.dim)
+        return self._average(vectors, weights)
+
+    def _column_stack(self, vectors, weights, spans) -> np.ndarray:
+        """Each column composed over its own rows of the record's stack."""
+        out = np.zeros((len(self.columns), self.dim))
+        for position, start, stop in spans:
+            out[position] = self._average(
+                vectors[start:stop], None if weights is None else weights[start:stop]
+            )
+        return out
 
     def embed(self, record: dict[str, object]) -> np.ndarray:
         """Tuple2vec: one vector per record."""
-        tokens = self.tokens_of(record)
-        if not tokens:
-            return np.zeros(self.dim)
-        vectors = np.array([self._vector_fn(t) for t in tokens])
-        if self.method == "sif":
-            weights = sif_weights(tokens, self.model)
-            total = weights.sum()
-            if total < 1e-12:
-                return np.zeros(self.dim)
-            return (vectors * weights[:, None]).sum(axis=0) / total
-        return mean_compose(vectors, self.dim)
+        return self._tuple_vector(*self._token_pass(record))
 
     def embed_many(self, records: list[dict[str, object]]) -> np.ndarray:
         """Stack of tuple embeddings, shape ``(n, dim)``."""
@@ -130,23 +176,19 @@ class TupleEmbedder:
         featurisation compares attributes position-by-position, which needs
         this attribute-aligned view rather than one whole-tuple bag.
         """
-        out = np.zeros((len(self.columns), self.dim))
-        for idx, column in enumerate(self.columns):
-            value = record.get(column)
-            if is_missing(value):
-                continue
-            tokens = word_tokenize(str(value))
-            if not tokens:
-                continue
-            vectors = np.array([self._vector_fn(t) for t in tokens])
-            if self.method == "sif":
-                weights = sif_weights(tokens, self.model)
-                total = weights.sum()
-                if total >= 1e-12:
-                    out[idx] = (vectors * weights[:, None]).sum(axis=0) / total
-            else:
-                out[idx] = vectors.mean(axis=0)
-        return out
+        return self._column_stack(*self._token_pass(record))
+
+    def embed_with_columns(
+        self, record: dict[str, object]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(embed(record), embed_columns(record))`` from one token pass.
+
+        Serving needs both for every never-seen record: the tuple vector
+        probes the blocking index and the column stack feeds the pair
+        features.  Bit-identical to the two separate calls.
+        """
+        terms = self._token_pass(record)
+        return self._tuple_vector(*terms), self._column_stack(*terms)
 
     def token_matrix(self, record: dict[str, object], max_tokens: int) -> np.ndarray:
         """Fixed-length ``(max_tokens, dim)`` matrix for sequence models.

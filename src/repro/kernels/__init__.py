@@ -9,7 +9,8 @@ per micro-batch, **provably** equivalent to the loops it replaces:
 
 * :mod:`repro.kernels.features` — batched attribute-aligned pair
   features, bit-identical to the per-pair loop in float mode, with
-  content-keyed deduplication so repeated tuples are composed once;
+  content-keyed deduplication so repeated tuples are composed once and
+  per-row terms (norms, unit vectors) computed once per distinct row;
 * :mod:`repro.kernels.score` — one classifier forward + sigmoid per
   batch, matching ``DeepER.predict_proba`` digit for digit;
 * :mod:`repro.kernels.quant` — int8/float16 quantized embedding stores
@@ -23,6 +24,7 @@ equivalence claims; run it standalone with::
 """
 
 from repro.kernels.features import (
+    PairSide,
     compose_pair_features,
     pair_feature_matrix,
     unique_column_stack,
@@ -32,6 +34,7 @@ from repro.kernels.score import score_pairs, sigmoid
 
 __all__ = [
     "MODES",
+    "PairSide",
     "QuantizedStore",
     "compose_pair_features",
     "pair_feature_matrix",

@@ -25,11 +25,17 @@ operations in the same order:
 * guarded lanes (zero-norm columns) select precomputed safe values via
   ``np.where`` with a sanitised denominator, so the selected lanes see
   exactly the scalar arithmetic and the unselected lanes never divide
-  by zero.
+  by zero;
+* per-row terms — each column's norm and unit vector — are computed
+  once per *distinct* row of a side (:class:`PairSide`) and gathered
+  per pair; a gather copies values, so the per-pair steps (subtract,
+  abs, dot, cosine) see exactly the operands the loop computes.
 
 The differential tier (``tests/kernels/``) asserts this equivalence over
-batch sizes 1/2/7/32/1000, empty input and duplicate pairs; any numpy
-change that breaks the assumption fails loudly there.
+batch sizes 1/2/7/32/1000, empty input, duplicate pairs and ``bulk``'s
+shape (16 query rows over a 155-row store, zero-norm rows on both
+sides, an ``int8`` store); any numpy change that breaks the assumption
+fails loudly there.
 
 Deduplicated composition
 ------------------------
@@ -44,6 +50,7 @@ batch.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -54,6 +61,7 @@ from repro.par import pmap
 from repro.utils.content import content_key
 
 __all__ = [
+    "PairSide",
     "compose_pair_features",
     "pair_feature_matrix",
     "unique_column_stack",
@@ -66,44 +74,80 @@ NORM_GUARD = 1e-9
 COSINE_GUARD = 1e-12
 
 
-def pair_feature_matrix(u_cols: np.ndarray, v_cols: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class PairSide:
+    """One side of a pair batch: distinct rows plus each pair's row.
+
+    ``rows`` is a ``(distinct, columns, dim)`` stack and ``index`` holds
+    each pair's row in it, so ``rows[index]`` is the per-pair stack.
+    ``shape`` and ``len`` are that per-pair stack's: ``(pairs, columns,
+    dim)`` and ``pairs``.
+    """
+
+    rows: np.ndarray
+    index: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.index.shape + self.rows.shape[1:]
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @classmethod
+    def of(cls, side: "PairSide | np.ndarray") -> "PairSide":
+        """``side`` itself, or a per-pair stack as one row per pair."""
+        if isinstance(side, PairSide):
+            return side
+        rows = np.asarray(side)
+        return cls(rows, np.arange(len(rows)))
+
+
+def pair_feature_matrix(
+    u_cols: "PairSide | np.ndarray", v_cols: "PairSide | np.ndarray"
+) -> np.ndarray:
     """Batched attribute-aligned pair features.
 
     Parameters
     ----------
     u_cols / v_cols:
-        ``(n, columns, dim)`` stacks of per-attribute embeddings for the
-        two sides of ``n`` pairs.
+        The two sides of ``n`` pairs, each a :class:`PairSide` or a
+        ``(n, columns, dim)`` stack of per-attribute embeddings.
 
     Returns
     -------
     ``(n, columns * (dim + 1))`` feature matrix laid out exactly like the
     per-pair loop: for each column, ``dim`` values of ``|û − v̂|``
     followed by one cosine.
+
+    Each column's norm and unit vector are computed once per distinct
+    row of a side; only the gather, subtract, abs, dot and cosine run
+    per pair.
     """
-    u_cols = np.asarray(u_cols, dtype=np.float64)
-    v_cols = np.asarray(v_cols, dtype=np.float64)
-    if u_cols.shape != v_cols.shape:
+    u, v = PairSide.of(u_cols), PairSide.of(v_cols)
+    if u.shape != v.shape:
         raise ValueError(
-            f"pair sides must share a shape, got {u_cols.shape} != {v_cols.shape}"
+            f"pair sides must share a shape, got {u.shape} != {v.shape}"
         )
-    if u_cols.ndim != 3:
-        raise ValueError(f"expected (pairs, columns, dim), got shape {u_cols.shape}")
-    pairs, columns, dim = u_cols.shape
+    if len(u.shape) != 3:
+        raise ValueError(f"expected (pairs, columns, dim), got shape {u.shape}")
+    pairs, columns, dim = u.shape
     if pairs == 0:
         return np.zeros((0, columns * (dim + 1)))
 
+    u_rows = np.asarray(u.rows, dtype=np.float64)
+    v_rows = np.asarray(v.rows, dtype=np.float64)
+    norm_u, unit_u = _row_terms(u_rows)
+    norm_v, unit_v = _row_terms(v_rows)
+
+    absdiff = unit_u[u.index] - unit_v[v.index]
+    np.abs(absdiff, out=absdiff)
+
     # sum(axis=-1) == per-row sum(): same pairwise reduction as the loop.
-    norm_u = np.sqrt((u_cols * u_cols).sum(axis=-1))
-    norm_v = np.sqrt((v_cols * v_cols).sum(axis=-1))
-    dots = (u_cols * v_cols).sum(axis=-1)
-
-    unit_u = _unit_guarded(u_cols, norm_u)
-    unit_v = _unit_guarded(v_cols, norm_v)
-    absdiff = np.abs(unit_u - unit_v)
-
-    defined = (norm_u >= COSINE_GUARD) & (norm_v >= COSINE_GUARD)
-    denominator = np.where(defined, norm_u * norm_v, 1.0)
+    dots = (u_rows[u.index] * v_rows[v.index]).sum(axis=-1)
+    pair_norm_u, pair_norm_v = norm_u[u.index], norm_v[v.index]
+    defined = (pair_norm_u >= COSINE_GUARD) & (pair_norm_v >= COSINE_GUARD)
+    denominator = np.where(defined, pair_norm_u * pair_norm_v, 1.0)
     cosine = np.where(defined, dots / denominator, 0.0)
 
     if _OBS.enabled:
@@ -113,6 +157,12 @@ def pair_feature_matrix(u_cols: np.ndarray, v_cols: np.ndarray) -> np.ndarray:
     return np.concatenate([absdiff, cosine[:, :, None]], axis=2).reshape(
         pairs, columns * (dim + 1)
     )
+
+
+def _row_terms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's norm and guarded unit vector, per distinct row."""
+    norms = np.sqrt((rows * rows).sum(axis=-1))
+    return norms, _unit_guarded(rows, norms)
 
 
 def _unit_guarded(cols: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -194,4 +244,6 @@ def compose_pair_features(
         flat.append(record_a)
         flat.append(record_b)
     stack, indices = unique_column_stack(flat, embedder, jobs=jobs)
-    return pair_feature_matrix(stack[indices[0::2]], stack[indices[1::2]])
+    return pair_feature_matrix(
+        PairSide(stack, indices[0::2]), PairSide(stack, indices[1::2])
+    )

@@ -18,7 +18,7 @@ from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
 from repro.obs.metrics import REGISTRY as _OBS
 
-from repro.kernels.features import pair_feature_matrix
+from repro.kernels.features import PairSide, pair_feature_matrix
 
 __all__ = ["score_pairs", "sigmoid"]
 
@@ -29,13 +29,14 @@ def sigmoid(logits: np.ndarray) -> np.ndarray:
 
 
 def score_pairs(
-    classifier: Module, u_cols: np.ndarray, v_cols: np.ndarray
+    classifier: Module, u_cols: "PairSide | np.ndarray", v_cols: "PairSide | np.ndarray"
 ) -> np.ndarray:
     """Match probabilities for a batch of column-embedded pairs.
 
     ``classifier`` is consumed as-is (no train/eval flipping — serving
     parks it in eval mode once); the caller guarantees both sides share
-    the ``(pairs, columns, dim)`` shape.
+    the ``(pairs, columns, dim)`` shape, as :class:`PairSide` values
+    (distinct rows plus a per-pair row index) or per-pair stacks.
     """
     features = pair_feature_matrix(u_cols, v_cols)
     if len(features) == 0:

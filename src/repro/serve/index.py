@@ -37,11 +37,12 @@ def _embed_record(record: "dict[str, object]", embedder: TupleEmbedder) -> np.nd
     return embedder.embed(record)
 
 
-def _embed_record_columns(
+def _embed_record_with_columns(
     record: "dict[str, object]", embedder: TupleEmbedder
-) -> np.ndarray:
-    """One record's per-attribute embedding stack (module-level for pmap)."""
-    return embedder.embed_columns(record)
+) -> "tuple[np.ndarray, np.ndarray]":
+    """One record's tuple embedding and per-attribute stack, from one
+    token pass (module-level for pmap)."""
+    return embedder.embed_with_columns(record)
 
 
 class BlockingIndex:
@@ -91,7 +92,8 @@ class BlockingIndex:
 
         Besides the LSH buckets, build precomputes the reference side of
         the scoring kernels: a ``(records, columns, dim)`` stack of
-        per-attribute embeddings, stored as a :class:`~repro.kernels.quant.
+        per-attribute embeddings (made by the same token pass as each
+        record's tuple embedding), stored as a :class:`~repro.kernels.quant.
         QuantizedStore` in ``quantize`` mode (``"none"`` — bit-exact
         float64, the default — or ``"float16"`` / ``"int8"`` for a smaller
         shard with the bounded error documented in :mod:`repro.kernels.
@@ -110,15 +112,15 @@ class BlockingIndex:
             raise ValueError("cannot build an index over zero records")
         if quantize not in MODES:
             raise ValueError(f"quantize must be one of {MODES}, got {quantize!r}")
-        embeddings = np.array(
-            pmap(
-                partial(_embed_record, embedder=self.embedder),
-                records,
-                jobs=jobs,
-                label="serve.index.embed",
-            )
+        embedded = pmap(
+            partial(_embed_record_with_columns, embedder=self.embedder),
+            records,
+            jobs=jobs,
+            label="serve.index.embed",
         )
-        signatures = self.blocker.prepare_reference(embeddings)
+        signatures = self.blocker.prepare_reference(
+            np.array([vector for vector, _ in embedded])
+        )
         buckets: list[dict[bytes, list[int]]] = []
         for lo, hi in self.blocker.band_slices():
             band_buckets: dict[bytes, list[int]] = defaultdict(list)
@@ -126,15 +128,9 @@ class BlockingIndex:
                 band_buckets[signature[lo:hi].tobytes()].append(i)
             buckets.append(dict(band_buckets))
         with span("serve.index.columns", records=len(records), mode=quantize) as sp:
-            column_stack = np.array(
-                pmap(
-                    partial(_embed_record_columns, embedder=self.embedder),
-                    records,
-                    jobs=jobs,
-                    label="serve.index.columns",
-                )
+            store = quantize_store(
+                np.array([columns for _, columns in embedded]), mode=quantize
             )
-            store = quantize_store(column_stack, mode=quantize)
             sp.meta["nbytes"] = store.nbytes
         self._ids = [str(i) for i in ids]
         self._records = {str(i): r for i, r in zip(ids, records)}
@@ -214,6 +210,25 @@ class BlockingIndex:
                 jobs=jobs,
                 label="serve.query.embed",
             )
+        )
+
+    def embed_queries_with_columns(
+        self, records: list[dict[str, object]], *, jobs: int = 1
+    ) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """``(tuple embedding, per-attribute stack)`` per query record.
+
+        One token pass per record makes both (bit-identical to
+        :meth:`embed_queries` and ``embedder.embed_columns``): serving
+        embeds a never-seen query once and hands its column stack to the
+        scoring stage.
+        """
+        if not records:
+            return []
+        return pmap(
+            partial(_embed_record_with_columns, embedder=self.embedder),
+            records,
+            jobs=jobs,
+            label="serve.query.embed",
         )
 
     def candidates(self, embedding: np.ndarray) -> list[str]:

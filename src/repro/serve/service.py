@@ -45,8 +45,10 @@ a retrained candidate and swaps it in without rebuilding the service.
 The cache-invalidation contract is exact: the **score cache is cleared**
 (its entries are model outputs) while the **embedding and column caches
 are kept** — their contents are functions of the embedder configuration
-(word model, columns, composition method), which swap validation pins
-equal, never of the classifier weights being replaced.  Swapping to a
+(word model, vector function, columns, composition method), never of the
+classifier weights being replaced.  Construction and swap validation
+both pin the matcher's embedder equal to the index's, whose token pass
+makes the query column stacks the classifier reads.  Swapping to a
 matcher with the *same* parameter fingerprint is a no-op: no rebind, no
 cache clear, provably unchanged answers and cache counters.  The commit
 covers every replica of every shard group and runs under validated,
@@ -63,7 +65,7 @@ import numpy as np
 from repro.er.deeper import DeepER
 from repro.faults.plan import inject
 from repro.faults.retry import HOT_POLICY, retry_call
-from repro.kernels.features import unique_column_stack
+from repro.kernels.features import PairSide, unique_column_stack
 from repro.kernels.score import score_pairs
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.serve.cache import LRUCache, MISSING, CacheStatsView, content_key
@@ -132,6 +134,24 @@ class ShardGroup:
         return self.replicas[0]
 
 
+def _embedder_mismatch(embedder, reference) -> "str | None":
+    """What ``embedder`` would embed differently from ``reference``.
+
+    Returns the first differing setting — word model (by identity),
+    vector function (each side's default lookup counts as the same one),
+    columns or method — or None when every record embeds identically.
+    """
+    if embedder.model is not reference.model:
+        return "word model"
+    if embedder.vector_fn != reference.vector_fn:
+        return "vector function"
+    if embedder.columns != reference.columns:
+        return f"columns ({embedder.columns!r} != {reference.columns!r})"
+    if embedder.method != reference.method:
+        return f"method ({embedder.method!r} != {reference.method!r})"
+    return None
+
+
 def _keyed_by_home(keys, home_by_key: dict, record_by_key: dict) -> list:
     """``(key, record)`` lists per home shard: shards ascending, keys in order."""
     batches: dict[int, list] = {}
@@ -149,7 +169,10 @@ class MatchService:
         Fitted :class:`DeepER` (fixed composition for the cached-embedding
         path); flipped to eval mode at construction and kept there.
     index:
-        Built :class:`BlockingIndex` over the reference table.
+        Built :class:`BlockingIndex` over the reference table.  Its
+        embedder must equal the matcher's in word model, vector function,
+        columns and method (``ValueError`` otherwise): it makes the query
+        column stacks the matcher's classifier reads.
     threshold:
         Probability above which the best candidate counts as a match.
     jobs:
@@ -197,6 +220,12 @@ class MatchService:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
         if scoring not in {"kernel", "loop"}:
             raise ValueError(f"scoring must be 'kernel' or 'loop', got {scoring!r}")
+        mismatch = _embedder_mismatch(matcher.embedder, index.embedder)
+        if mismatch is not None:
+            raise ValueError(
+                f"cannot serve matcher: its embedder's {mismatch} differs "
+                f"from the index's"
+            )
         self.index = index
         self.threshold = threshold
         self.jobs = jobs
@@ -238,10 +267,12 @@ class MatchService:
     def swap_matcher(self, matcher: DeepER) -> str:
         """Hot-swap a promoted matcher in; returns its fingerprint.
 
-        Validates compatibility first (same compare columns and
-        composition — the embedder configuration the kept caches depend
-        on), then commits for every replica of every shard group under
-        **one** validated fault site ``serve.swap`` call.  The commit
+        Validates compatibility first — the same composition, and an
+        embedder equal to the index's in word model, vector function,
+        columns and method: the configuration the kept caches and the
+        query column stacks depend on — then commits for every replica of
+        every shard group under **one** validated fault site
+        ``serve.swap`` call.  The commit
         clears exactly the score caches (model outputs) and keeps the
         embedding/column caches (model-independent contents); swapping to
         the currently served fingerprint is a no-op that touches neither
@@ -249,15 +280,18 @@ class MatchService:
         """
         check_fitted(matcher, "trained_")
         served = self.matcher
-        if matcher.columns != served.columns:
-            raise ValueError(
-                f"cannot swap matcher: compare columns differ "
-                f"({matcher.columns!r} != {served.columns!r})"
-            )
         if matcher.composition != served.composition:
             raise ValueError(
                 f"cannot swap matcher: composition differs "
                 f"({matcher.composition!r} != {served.composition!r})"
+            )
+        mismatch = _embedder_mismatch(
+            matcher.embedder, self.groups[0].primary.index.embedder
+        )
+        if mismatch is not None:
+            raise ValueError(
+                f"cannot swap matcher: its embedder's {mismatch} differs "
+                f"from the index's"
             )
         before = self.parameter_fingerprint()
         fingerprint = retry_call(
@@ -338,20 +372,24 @@ class MatchService:
 
         # Embedding stage: consult the cache once per *distinct* key, on
         # the key's home shard, then embed the misses in one (possibly
-        # parallel) pass there.
+        # parallel) pass there.  That pass also makes each miss's column
+        # stack, which the column stage of this batch takes.
         embeddings: dict[str, np.ndarray] = {}
+        fresh_columns: dict[str, np.ndarray] = {}
         hit_keys: set[str] = set()
         home_misses = [0] * len(groups)
         for shard_id, keyed in _keyed_by_home(distinct, home_by_key, record_by_key):
-            (shard_embeddings, shard_hits), used = self._shard_call(
+            (shard_embeddings, shard_hits, shard_columns), used = self._shard_call(
                 groups[shard_id],
                 lambda svc, keyed=keyed: svc.resolve_embeddings(keyed),
                 validate=lambda r, keyed=keyed: (
-                    isinstance(r, tuple) and len(r) == 2
+                    isinstance(r, tuple) and len(r) == 3
                     and set(r[0]) == {k for k, _ in keyed}
+                    and set(r[2]) == set(r[0]) - set(r[1])
                 ),
             )
             embeddings.update(shard_embeddings)
+            fresh_columns.update(shard_columns)
             hit_keys |= shard_hits
             home_misses[shard_id] = len(keyed) - len(shard_hits)
             failovers += used
@@ -394,7 +432,7 @@ class MatchService:
         to_score: list[tuple[str, str]] = []
         if owned:
             to_score, probabilities, used = self._score_canonical(
-                groups, owned, distinct, home_by_key, record_by_key
+                groups, owned, distinct, home_by_key, record_by_key, fresh_columns
             )
             failovers += used
             scores_now.update(zip(to_score, probabilities))
@@ -421,7 +459,9 @@ class MatchService:
         )
         return self._report(report, to_score_by_shard, home_misses, failovers)
 
-    def _score_canonical(self, groups, owned, distinct, home_by_key, record_by_key):
+    def _score_canonical(
+        self, groups, owned, distinct, home_by_key, record_by_key, fresh_columns
+    ):
         """Score the owners' uncached pairs in one call, in canonical order.
 
         ``owned`` lists ``(shard_id, uncached pairs)`` per scoring shard.
@@ -436,6 +476,11 @@ class MatchService:
         probabilities by ulps as N changes.  One call in canonical order
         makes the bits a pure function of the pair set, i.e.
         byte-identical for every shard count.
+
+        Kernel scoring hands each side over as a :class:`PairSide`: the
+        distinct rows (the scoring keys' column stacks; each owner's
+        distinct candidate rows) plus each pair's row, so the feature
+        kernel works out per-row terms once per row, not once per pair.
 
         Returns the canonical pairs, their probabilities and the
         failovers used.  The gathered stacks die with this frame, before
@@ -463,19 +508,26 @@ class MatchService:
             ):
                 shard_columns, used = self._shard_call(
                     groups[shard_id],
-                    lambda svc, keyed=keyed: svc.resolve_columns(keyed),
+                    lambda svc, keyed=keyed: svc.resolve_columns(keyed, fresh_columns),
                     validate=lambda r, keyed=keyed: (
                         isinstance(r, dict) and set(r) == {k for k, _ in keyed}
                     ),
                 )
                 columns_by_key.update(shard_columns)
                 failovers += used
-            query_side = np.array([columns_by_key[key] for key, _ in to_score])
-            # Reference rows per owner, stitched into canonical order
-            # (exact row copies, bit-identical to one global gather).
-            parts = []
+            query_row = {key: row for row, key in enumerate(scoring_keys)}
+            query_side = PairSide(
+                np.array([columns_by_key[key] for key in scoring_keys]),
+                np.array([query_row[key] for key, _ in to_score], dtype=np.intp),
+            )
+            # Each owner's distinct candidate rows, stacked owner after
+            # owner; each pair indexes its row, in canonical order (exact
+            # row copies, bit-identical to one global gather).
+            parts, index_parts, offset = [], [], 0
             for s, pairs in owned:
-                wanted = [c for _, c in pairs]
+                local: dict[str, int] = {}
+                rows_of_pairs = [local.setdefault(c, len(local)) for _, c in pairs]
+                wanted = list(local)
                 rows, used = self._shard_call(
                     groups[s],
                     lambda svc, ids=wanted: svc.index.column_rows(ids),
@@ -484,9 +536,13 @@ class MatchService:
                     ),
                 )
                 parts.append(rows)
+                index_parts.append(np.array(rows_of_pairs, dtype=np.intp) + offset)
+                offset += len(wanted)
                 failovers += used
-            reference_side = (
-                parts[0] if order is None else np.concatenate(parts)[order]
+            reference_index = np.concatenate(index_parts)
+            reference_side = PairSide(
+                parts[0] if len(parts) == 1 else np.concatenate(parts),
+                reference_index if order is None else reference_index[order],
             )
         else:
             query_side = [record_by_key[key] for key, _ in to_score]
@@ -535,15 +591,19 @@ class MatchService:
 
     def resolve_embeddings(
         self, keyed_records: "list[tuple[str, dict[str, object]]]"
-    ) -> "tuple[dict[str, np.ndarray], set[str]]":
+    ) -> "tuple[dict[str, np.ndarray], set[str], dict[str, np.ndarray]]":
         """Cache-aware tuple embeddings for distinct ``(key, record)`` pairs.
 
-        Returns the embedding per key plus the subset of keys served from
-        the cache; misses are embedded in one (possibly parallel) pass and
-        inserted.  Callers must pass each key at most once.
+        Returns the embedding per key, the subset of keys served from the
+        cache, and each miss's column stack.  Misses are embedded in one
+        (possibly parallel) pass that makes both from one token pass per
+        record; the embeddings are inserted here, and the column stacks
+        are left to :meth:`resolve_columns`, which consults and fills the
+        column cache.  Callers must pass each key at most once.
         """
         embeddings: dict[str, np.ndarray] = {}
         hit_keys: set[str] = set()
+        fresh_columns: dict[str, np.ndarray] = {}
         miss_keys: list[str] = []
         miss_records: list[dict[str, object]] = []
         for key, record in keyed_records:
@@ -555,11 +615,12 @@ class MatchService:
                 miss_keys.append(key)
                 miss_records.append(record)
         if miss_records:
-            fresh = self.index.embed_queries(miss_records, jobs=self.jobs)
-            for key, vector in zip(miss_keys, fresh):
+            fresh = self.index.embed_queries_with_columns(miss_records, jobs=self.jobs)
+            for key, (vector, columns) in zip(miss_keys, fresh):
                 embeddings[key] = vector
+                fresh_columns[key] = columns
                 self.embedding_cache.put(key, vector)
-        return embeddings, hit_keys
+        return embeddings, hit_keys, fresh_columns
 
     def candidate_map(
         self, embeddings: "dict[str, np.ndarray]", keys: "list[str]"
@@ -591,37 +652,45 @@ class MatchService:
         return scores_now, hits_by_key, to_score
 
     def resolve_columns(
-        self, keyed_records: "list[tuple[str, dict[str, object]]]"
+        self,
+        keyed_records: "list[tuple[str, dict[str, object]]]",
+        fresh: "dict[str, np.ndarray]",
     ) -> "dict[str, np.ndarray]":
         """Cache-aware per-attribute embedding stacks for query keys.
 
-        Misses go through one deduplicated :func:`unique_column_stack`
-        pass and are inserted; callers pass each key at most once.
+        A miss takes the stack the embedding stage made this batch
+        (``fresh``).  A key that hit the embedding cache but lost its
+        column entry has none; such keys go through one deduplicated
+        :func:`unique_column_stack` pass.  Misses are inserted in key
+        order; callers pass each key at most once.
         """
         columns: dict[str, np.ndarray] = {}
         miss_keys: list[str] = []
-        miss_records: list[dict[str, object]] = []
+        unmade: list[tuple[str, dict[str, object]]] = []
         for key, record in keyed_records:
             cached = self.column_cache.get(key)
             if cached is not MISSING:
                 columns[key] = cached
             else:
                 miss_keys.append(key)
-                miss_records.append(record)
-        if miss_records:
+                if key not in fresh:
+                    unmade.append((key, record))
+        if unmade:
             stack, indices = unique_column_stack(
-                miss_records, self.matcher.embedder, jobs=self.jobs
+                [record for _, record in unmade], self.index.embedder, jobs=self.jobs
             )
-            for key, row in zip(miss_keys, indices):
-                columns[key] = stack[row]
-                self.column_cache.put(key, stack[row])
+            fresh = {**fresh, **{key: stack[row] for (key, _), row in zip(unmade, indices)}}
+        for key in miss_keys:
+            columns[key] = fresh[key]
+            self.column_cache.put(key, fresh[key])
         return columns
 
     def score_uncached(self, query_side, reference_side) -> "list[float]":
         """One validated, retried scoring call over canonical-order pairs.
 
-        Kernel scoring takes the ``(pairs, columns, dim)`` query and
-        reference column stacks — one classifier forward, bit-identical
+        Kernel scoring takes the query and reference sides as
+        :class:`~repro.kernels.features.PairSide` values of shape
+        ``(pairs, columns, dim)`` — one classifier forward, bit-identical
         to ``predict_proba`` with an unquantized store; loop scoring takes
         the two record lists and calls ``predict_proba``.  Returns the
         probabilities in pair order.

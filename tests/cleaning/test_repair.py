@@ -164,6 +164,12 @@ def reference_violations(fd, table):
     return sorted(set(bad_pairs))
 
 
+def reference_violating_rows(fd, table):
+    """Rows of the listed violating pairs (``violating_rows`` before it
+    read the groups)."""
+    return {row for pair in reference_violations(fd, table) for row in pair}
+
+
 def reference_fd_error(fd, table):
     groups = reference_group_rows(fd, table)
     total = sum(len(rows) for rows in groups.values())
@@ -208,6 +214,7 @@ def reference_scans():
         for target, name, reference in (
             (FunctionalDependency, "group_rows", reference_group_rows_and_rhs),
             (FunctionalDependency, "violations", reference_violations),
+            (FunctionalDependency, "violating_rows", reference_violating_rows),
             (dependencies, "fd_error", reference_fd_error),
             (dependencies, "_holds_with_support", reference_holds_with_support),
         ):
@@ -295,6 +302,18 @@ class TestMatchesPerCellReference:
         table = data.draw(tables())
         fds = data.draw(fd_lists(table.columns))
         self.check_repair(table, fds, data.draw(st.sampled_from([1, 2, 3, 5])))
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_violating_rows_without_pairs(self, data):
+        """A row violates exactly when its group holds two rhs values."""
+        table = data.draw(tables())
+        fds = data.draw(fd_lists(table.columns))
+        for fd in fds:
+            assert fd.violating_rows(table) == reference_violating_rows(fd, table)
+        bad = set().union(*(reference_violating_rows(fd, table) for fd in fds))
+        expected = len(bad) / table.num_rows if table.num_rows else 0.0
+        assert violation_rate(table, fds) == expected
 
     @pytest.mark.parametrize("fds", [[EID_DEPT, DEPT_DNAME], [DEPT_DNAME, EID_DEPT]])
     @pytest.mark.parametrize("max_passes", [1, 2, 3, 5])
@@ -435,3 +454,17 @@ class TestScanCount:
     def test_one_pass_scans_each_fd_at_most_once(self, scans):
         FDRepairer([DEPT_DNAME, EID_DEPT], max_passes=1).repair(cascade_table())
         assert scans == [DEPT_DNAME, EID_DEPT]
+
+    def test_approximate_discovery_groups_each_candidate_once(self, scans):
+        table, _ = World(0).locations_table(60)
+        discover_approximate_fds(table)
+        assert len(scans) == len(set(scans)) == 20
+
+    def test_violating_rows_lists_no_pairs(self, scans, monkeypatch):
+        def no_pairs(fd, table):
+            raise AssertionError("violating_rows listed the violating pairs")
+
+        monkeypatch.setattr(FunctionalDependency, "violations", no_pairs)
+        table, fds = World(0).locations_table(60)
+        violation_rate(table, fds)
+        assert scans == list(fds)

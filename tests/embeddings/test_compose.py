@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import Table
 from repro.embeddings import (
@@ -235,3 +237,88 @@ class TestLSTMComposer:
         out = composer(np.random.default_rng(0).normal(size=(2, 3, 6)))
         (out * out).sum().backward()
         assert all(p.grad is not None for p in composer.parameters())
+
+
+# -- one token pass: the fused embedding equals the two separate ones ---------
+
+
+def reference_embed(embedder, record):
+    """``embed`` as a whole-record token list composed at once."""
+    tokens = []
+    for column in embedder.columns:
+        value = record.get(column)
+        if value is None or value == "" or value != value:
+            continue
+        tokens.extend(word_tokenize(str(value)))
+    return reference_compose(embedder, tokens)
+
+
+def reference_embed_columns(embedder, record):
+    """``embed_columns`` as one composition per column's own tokens."""
+    out = np.zeros((len(embedder.columns), embedder.dim))
+    for idx, column in enumerate(embedder.columns):
+        value = record.get(column)
+        if value is None or value == "" or value != value:
+            continue
+        out[idx] = reference_compose(embedder, word_tokenize(str(value)))
+    return out
+
+
+def reference_compose(embedder, tokens):
+    model = embedder.model
+    if not tokens:
+        return np.zeros(model.dim)
+    vectors = np.array(
+        [model.vector(t) if t in model else np.zeros(model.dim) for t in tokens]
+    )
+    if embedder.method == "mean":
+        return vectors.mean(axis=0)
+    weights = sif_weights(tokens, model)
+    total = weights.sum()
+    if total < 1e-12:
+        return np.zeros(model.dim)
+    return (vectors * weights[:, None]).sum(axis=0) / total
+
+
+# In-vocabulary words, out-of-vocabulary ones and the missing encodings;
+# joined values repeat tokens within and across columns.
+FUSED_WORDS = ["widget", "red", "blue", "device", "zzz", "typoo", "Widget,", "7"]
+FUSED_VALUES = st.one_of(
+    st.sampled_from([None, "", float("nan"), 3, 2.5]),
+    st.lists(st.sampled_from(FUSED_WORDS), min_size=1, max_size=6).map(" ".join),
+)
+FUSED_RECORDS = st.fixed_dictionaries(
+    {}, optional={column: FUSED_VALUES for column in ["a", "b", "c"]}
+)
+
+
+class TestFusedTokenPass:
+    """``embed_with_columns`` equals ``(embed, embed_columns)`` bit for bit,
+    and both equal the per-method compositions they replaced."""
+
+    @pytest.mark.parametrize("method", ["mean", "sif"])
+    @settings(max_examples=150, deadline=None)
+    @given(record=FUSED_RECORDS)
+    def test_equals_the_two_separate_passes(self, model, method, record):
+        embedder = TupleEmbedder(model, ["a", "b", "c"], method=method)
+        vector, columns = embedder.embed_with_columns(record)
+        assert np.array_equal(vector, embedder.embed(record))
+        assert np.array_equal(columns, embedder.embed_columns(record))
+        assert np.array_equal(vector, reference_embed(embedder, record))
+        assert np.array_equal(columns, reference_embed_columns(embedder, record))
+        assert vector.shape == (model.dim,)
+        assert columns.shape == (3, model.dim)
+
+    def test_one_tokenisation_per_column(self, model, monkeypatch):
+        import repro.embeddings.compose as compose
+
+        calls = []
+
+        def counting(text, *args, **kwargs):
+            calls.append(text)
+            return word_tokenize(text, *args, **kwargs)
+
+        monkeypatch.setattr(compose, "word_tokenize", counting)
+        embedder = TupleEmbedder(model, ["a", "b", "c"], method="sif")
+        embedder.embed_with_columns({"a": "red red widget", "b": None, "c": "zzz"})
+        assert calls == ["red red widget", "zzz"]

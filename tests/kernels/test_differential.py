@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from repro.er.deeper import _pair_feature_row
-from repro.kernels import compose_pair_features, pair_feature_matrix, score_pairs
+from repro.kernels import (
+    PairSide,
+    compose_pair_features,
+    pair_feature_matrix,
+    quantize,
+    score_pairs,
+)
 from repro.serve import MatchService
 
 BATCH_SIZES = [1, 2, 7, 32, 1000]
@@ -139,3 +145,92 @@ class TestServingDifferential:
             assert answer.probability == float(offline.max())
             best_position = answer.candidates.index(answer.best_id)
             assert answer.probability == float(offline[best_position])
+
+
+class _RowsEmbedder:
+    """Stands in for a TupleEmbedder: a record is a ``(rows, i)`` handle
+    and its column stack is ``rows[i]``, so the loop reference runs on
+    synthetic rows."""
+
+    @staticmethod
+    def embed_columns(record):
+        rows, i = record
+        return rows[i]
+
+
+def _distinct(indices):
+    """Distinct values in first-seen order, and each position's place."""
+    place: dict[int, int] = {}
+    local = [place.setdefault(int(i), len(place)) for i in indices]
+    return np.array(list(place), dtype=np.intp), np.array(local, dtype=np.intp)
+
+
+class TestPerRowTerms:
+    """``PairSide`` inputs at ``bulk``'s shape — 16 query rows, about 64
+    candidates each, a 155-row store — equal the per-pair loop bit for
+    bit, with duplicate-heavy indices and zero-norm rows on both sides."""
+
+    COLUMNS, DIM = 3, 40  # citations' compare columns, wallbench's dim
+
+    @pytest.fixture(params=["none", "int8"])
+    def batch(self, request):
+        gen = np.random.default_rng(5)
+        queries = gen.normal(size=(16, self.COLUMNS, self.DIM))
+        store_rows = gen.normal(size=(155, self.COLUMNS, self.DIM))
+        queries[3] = 0.0                 # a zero row
+        queries[5, 2] = 0.0              # a zero column
+        queries[6, 1] = 1e-11            # between the two guards
+        queries[6, 0] = 1e-13            # under both guards
+        store_rows[7] = 0.0
+        store_rows[9, 2] = 0.0
+        store_rows[11, 0] = 5e-10
+        store = quantize(store_rows, request.param)
+        # ~64 candidates per query, drawn with repeats from a 40-row hot
+        # set plus the rest of the store, and the zero rows on purpose.
+        query_index = np.repeat(np.arange(16), 64)[:1015]
+        hot = gen.integers(0, 40, size=600)
+        rest = gen.integers(0, 155, size=415)
+        reference_index = np.concatenate([hot, rest])
+        reference_index[::97] = 7
+        return queries, store, query_index, reference_index
+
+    def test_equals_the_per_pair_loop(self, batch):
+        queries, store, query_index, reference_index = batch
+        q_rows, q_local = _distinct(query_index)
+        r_rows, r_local = _distinct(reference_index)
+        features = pair_feature_matrix(
+            PairSide(queries[q_rows], q_local),
+            PairSide(store.rows(r_rows), r_local),
+        )
+        references = store.dequantize()
+        loop = np.array([
+            _pair_feature_row(((queries, q), (references, r)), _RowsEmbedder)
+            for q, r in zip(query_index, reference_index)
+        ])
+        assert features.shape == (1015, self.COLUMNS * (self.DIM + 1))
+        assert np.array_equal(features, loop)
+        assert np.all(np.isfinite(features))
+        # The per-pair stacks give the same bits as the distinct rows.
+        stacked = pair_feature_matrix(queries[query_index], references[reference_index])
+        assert np.array_equal(features, stacked)
+
+    def test_pair_side_reports_the_per_pair_shape(self, batch):
+        queries, _, query_index, _ = batch
+        side = PairSide(queries, query_index)
+        assert side.shape == (1015, self.COLUMNS, self.DIM)
+        assert len(side) == 1015
+
+    def test_empty_batch(self, batch):
+        queries, store, _, _ = batch
+        empty = np.zeros(0, dtype=np.intp)
+        out = pair_feature_matrix(
+            PairSide(queries, empty), PairSide(store.rows(np.arange(3)), empty)
+        )
+        assert out.shape == (0, self.COLUMNS * (self.DIM + 1))
+
+    def test_mismatched_sides_are_rejected(self, batch):
+        queries, _, query_index, _ = batch
+        with pytest.raises(ValueError, match="share a shape"):
+            pair_feature_matrix(
+                PairSide(queries, query_index), PairSide(queries, query_index[:3])
+            )

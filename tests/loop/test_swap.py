@@ -9,12 +9,16 @@ The contract under test (``MatchService.swap_matcher`` /
   and cache counters all unchanged;
 * a real swap invalidates exactly the score tier — embedding and column
   caches (functions of the embedder config, not the classifier) survive;
-* swapping an incompatible matcher (columns, composition, unfitted)
+* swapping an incompatible matcher (composition; an embedder whose word
+  model, vector function or columns differ from the index's; unfitted)
   fails loudly before touching any state.
 """
 
 from __future__ import annotations
 
+import copy
+
+import numpy as np
 import pytest
 
 from repro.er import DeepER
@@ -136,6 +140,59 @@ class TestSwapValidation:
         ).fit(train_triples[:40], epochs=1)
         with pytest.raises(ValueError, match="composition"):
             service.swap_matcher(averaged)
+
+    def test_word_model_mismatch_is_rejected(
+        self, service, word_model, small_benchmark, train_triples
+    ):
+        # An equal copy is still another word model: identity is pinned.
+        other = DeepER(
+            copy.copy(word_model), small_benchmark.compare_columns,
+            composition="sif", rng=0,
+        ).fit(train_triples[:40], epochs=1)
+        with pytest.raises(ValueError, match="word model"):
+            service.swap_matcher(other)
+
+    def test_vector_function_mismatch_is_rejected(
+        self, service, word_model, small_benchmark, train_triples
+    ):
+        backed_off = DeepER(
+            word_model, small_benchmark.compare_columns, composition="sif",
+            vector_fn=lambda token: np.zeros(word_model.dim), rng=0,
+        ).fit(train_triples[:40], epochs=1)
+        with pytest.raises(ValueError, match="vector function"):
+            service.swap_matcher(backed_off)
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_rejected_embedder_leaves_answers_and_caches_untouched(
+        self, n_shards, trained_matcher, built_index, word_model,
+        small_benchmark, train_triples, query_records,
+    ):
+        service = (
+            MatchService(trained_matcher, built_index, jobs=1) if n_shards is None
+            else ShardedMatchService(trained_matcher, built_index, n_shards=n_shards)
+        )
+        baseline = [a.to_dict() for a in service.match_batch(query_records[:10]).answers]
+        other = DeepER(
+            copy.copy(word_model), small_benchmark.compare_columns,
+            composition="sif", rng=1,
+        ).fit(train_triples[:40], epochs=1)
+
+        def caches():
+            return [
+                (cache.stats.to_dict(), cache.keys())
+                for group in service.groups
+                for cache in (group.primary.embedding_cache,
+                              group.primary.score_cache,
+                              group.primary.column_cache)
+            ]
+
+        before = caches()
+        with pytest.raises(ValueError, match="word model"):
+            service.swap_matcher(other)
+        assert caches() == before
+        assert service.matcher is trained_matcher
+        again = [a.to_dict() for a in service.match_batch(query_records[:10]).answers]
+        assert again == baseline
 
     def test_rejected_swap_leaves_the_service_untouched(
         self, service, matcher_factory, query_records

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
+import repro.embeddings.compose as compose
+import repro.serve.service as service_module
+from repro.data.types import is_missing
+from repro.embeddings import TupleEmbedder
+from repro.er import DeepER
 from repro.obs import REGISTRY, collecting
-from repro.serve import MatchService
-from repro.text import Vocabulary
+from repro.serve import BlockingIndex, MatchService, ShardedMatchService
+from repro.serve.cache import content_key
+from repro.text import Vocabulary, word_tokenize
 
 
 class TestConstruction:
@@ -181,3 +189,147 @@ class TestEmbeddingCost:
         assert report.embedding_misses == 8
         assert report.scored_pairs > 0
         assert calls == []
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_one_token_pass_per_never_seen_record(
+        self, trained_matcher, built_index, query_records, monkeypatch, n_shards
+    ):
+        """Counted, not timed: one batch tokenises each never-seen record
+        once (one ``word_tokenize`` call per non-missing column) for both
+        its tuple vector and its column stack; a warm batch tokenises
+        nothing."""
+        calls: list[str] = []
+
+        def counting(text, *args, **kwargs):
+            calls.append(text)
+            return word_tokenize(text, *args, **kwargs)
+
+        monkeypatch.setattr(compose, "word_tokenize", counting)
+        service = (
+            MatchService(trained_matcher, built_index, jobs=1) if n_shards is None
+            else ShardedMatchService(trained_matcher, built_index, n_shards=n_shards)
+        )
+        batch = query_records[:8]
+        columns = trained_matcher.embedder.columns
+        assert len({content_key(r) for r in batch}) == 8
+        report = service.match_batch(batch)
+        assert report.embedding_misses == 8 and report.scored_pairs > 0
+        assert len(calls) == sum(
+            not is_missing(record.get(c)) for record in batch for c in columns
+        )
+        calls.clear()
+        service.match_batch(batch)
+        assert calls == []
+
+
+class TestEmbedderPin:
+    """The matcher's embedder must equal the index's — it makes the
+    query column stacks the classifier reads and the cached vectors."""
+
+    @pytest.fixture(scope="class")
+    def records(self, reference_records):
+        records, ids = reference_records
+        return records[:12], ids[:12]
+
+    def index_over(self, embedder, records):
+        return BlockingIndex(embedder, n_bits=16, n_bands=4, rng=0).build(*records)
+
+    # One embedder setting changed from the matcher's, by name.
+    VARIANTS = {
+        "word model": lambda e: {"model": copy.copy(e.model)},
+        "vector function": lambda e: {"vector_fn": lambda token: np.ones(e.dim)},
+        "columns": lambda e: {"columns": e.columns[:-1]},
+        "method": lambda e: {"method": "mean"},
+    }
+
+    @pytest.mark.parametrize("setting", list(VARIANTS))
+    def test_construction_rejects_a_different_embedder(
+        self, trained_matcher, records, setting
+    ):
+        embedder = trained_matcher.embedder
+        index = self.index_over(TupleEmbedder(**{
+            "model": embedder.model, "columns": embedder.columns,
+            "method": embedder.method, **self.VARIANTS[setting](embedder),
+        }), records)
+        with pytest.raises(ValueError, match=setting):
+            MatchService(trained_matcher, index, jobs=1)
+
+    def test_default_lookups_on_both_sides_count_as_equal(
+        self, trained_matcher, records, query_records
+    ):
+        embedder = trained_matcher.embedder
+        twin = TupleEmbedder(embedder.model, embedder.columns, method=embedder.method)
+        assert twin.vector_fn is None and embedder.vector_fn is None
+        index = self.index_over(twin, records)
+        shared = self.index_over(embedder, records)
+        got = MatchService(trained_matcher, index, jobs=1).match_batch(query_records[:6])
+        want = MatchService(trained_matcher, shared, jobs=1).match_batch(query_records[:6])
+        assert [a.to_dict() for a in got.answers] == [a.to_dict() for a in want.answers]
+
+    def test_a_shared_vector_function_counts_as_equal(self, word_model):
+        vector = word_model.vector
+        one = TupleEmbedder(word_model, ["a"], vector_fn=vector)
+        other = TupleEmbedder(word_model, ["a"], vector_fn=word_model.vector)
+        assert one.vector_fn == other.vector_fn
+
+
+class TestCacheCounters:
+    """One token pass per record moved work between stages, not cache
+    traffic: over a fixed sequence with repeats, a swap and capacity-2
+    embedding/column caches, every tier's counters equal the ones the
+    two-pass pipeline recorded (measured on it and pinned here)."""
+
+    # Indices into the query records; the swap comes after the sixth batch.
+    SEQUENCE = [[1, 0, 1, 2], [2, 0, 2, 3], [4, 5, 1, 5], [3], [1, 3], [3, 1],
+                [4], [4, 4], [2, 1, 3, 5], [5, 4, 2, 2], [1], [2, 3]]
+    # (hits, misses, inserts, evictions) per tier, summed over shards.
+    EXPECTED = {
+        None: {"embedding": (10, 16, 16, 14), "score": (207, 383, 383, 255),
+               "column": (1, 16, 16, 14)},
+        2: {"embedding": (11, 15, 15, 12), "score": (344, 246, 246, 6),
+            "column": (3, 8, 8, 5)},
+    }
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_counters_equal_the_two_pass_pipeline(
+        self, n_shards, trained_matcher, built_index, small_benchmark,
+        query_records, monkeypatch,
+    ):
+        sizes = {"embedding_cache_size": 2, "score_cache_size": 64}
+        service = (
+            MatchService(trained_matcher, built_index, jobs=1, **sizes)
+            if n_shards is None
+            else ShardedMatchService(
+                trained_matcher, built_index, n_shards=n_shards, **sizes
+            )
+        )
+        labeled = small_benchmark.labeled_pairs(negative_ratio=3, rng=1)[:60]
+        candidate = DeepER(
+            trained_matcher.embedder.model, small_benchmark.compare_columns,
+            composition="sif", rng=1,
+        ).fit([
+            (small_benchmark.record_a(a), small_benchmark.record_b(b), y)
+            for a, b, y in labeled
+        ], epochs=1)
+        # The sequence reaches the column stage's fallback: an embedding
+        # hit whose column entry was evicted.
+        fallbacks = []
+        compose_stack = service_module.unique_column_stack
+        monkeypatch.setattr(
+            service_module, "unique_column_stack",
+            lambda *a, **k: fallbacks.append(1) or compose_stack(*a, **k),
+        )
+        for position, batch in enumerate(self.SEQUENCE):
+            if position == 6:
+                service.swap_matcher(candidate)
+            service.match_batch([query_records[i] for i in batch])
+        got = {
+            tier: tuple(
+                sum(getattr(getattr(g.primary, f"{tier}_cache").stats, field)
+                    for g in service.groups)
+                for field in ("hits", "misses", "inserts", "evictions")
+            )
+            for tier in ("embedding", "score", "column")
+        }
+        assert got == self.EXPECTED[n_shards]
+        assert fallbacks

@@ -126,6 +126,23 @@ class TestFailover:
         assert plan.ledger.count("corrupt", "serve.shard.route") == 1
         assert faulted == baseline
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda r: (r[0], r[1], {}),                            # stacks dropped
+        lambda r: (r[0], r[1], {**r[2], "stray": None}),       # a stray key
+    ])
+    def test_corrupted_fresh_column_map_is_detected(
+        self, corrupt, trained_matcher, built_index, batch, baseline
+    ):
+        """The embedding stage's column stacks must cover exactly that
+        shard's misses; hit 0 is the first home shard's embedding call,
+        where every key of a cold batch misses."""
+        plan = FaultPlan([Fault("serve.shard.query", "corrupt", hits=(0,), corrupt=corrupt)])
+        with plan:
+            report = fresh(trained_matcher, built_index).match_batch(batch)
+        assert plan.ledger.count("corrupt", "serve.shard.query") == 1
+        assert report.failovers == 1
+        assert [a.to_dict() for a in report.answers] == baseline
+
 
 class TestChaosSweep:
     # Seeds 0 and 7 schedule error faults at both shard sites; 11 kills
