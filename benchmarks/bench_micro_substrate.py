@@ -28,6 +28,12 @@ grows with the vocabulary shows: once as two calls (``embed`` +
 The ``fd repair`` row times minimal FD repair of one 2,000-row slice
 shaped like the gateway's ``clean`` requests: one FD, ~15 % of rows
 disagreeing with their group's majority.
+
+The ``score cache`` rows time one ``bulk`` batch's score-cache traffic:
+1,015 never-seen pair keys (16 query keys x ~63 candidates) consulted and
+written back against a full 4,096-entry cache, once as one
+``get_many`` + one ``put_many`` and once as the per-key ``get``/``put``
+loop.  Both must leave the same entries, recency order and stats.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from repro.er import DeepER, LSHBlocker, pair_features
 from repro.er.deeper import _pair_feature_row
 from repro.kernels import PairSide, pair_feature_matrix, quantize
 from repro.nn import Adam, LSTM, Tensor, bce_with_logits, mlp
+from repro.serve.cache import LRUCache, content_key
 from repro.text import SkipGram
 
 
@@ -334,6 +341,83 @@ def test_micro_fd_repair(benchmark, fd_slice):
     repaired, report = benchmark(FDRepairer([fd]).repair, fd_slice)
     assert fd.holds(repaired)
     assert 200 < len(report) < 400
+
+
+@pytest.fixture(scope="module")
+def score_traffic():
+    """A full 4,096-entry score cache and one ``bulk`` batch of misses.
+
+    Pair keys are (content key, candidate id), each query key with ~63
+    sorted candidates out of a 155-row table, as ``bulk`` sends them.
+    Returns a factory for the full cache, the batch's keys and scores,
+    and the state the per-key loop leaves.
+    """
+    gen = np.random.default_rng(23)
+
+    def batch(tag):
+        keys = [content_key({"record": f"{tag}-{i}"}) for i in range(16)]
+        return [
+            (key, f"c{c:04d}")
+            for key in keys
+            for c in np.sort(gen.choice(155, size=64, replace=False))
+        ][:1015]
+
+    history = [pair for tag in range(5) for pair in batch(f"old{tag}")][-4096:]
+    pairs = batch("new")
+    scores = gen.random(len(pairs)).tolist()
+
+    def full_cache():
+        cache = LRUCache(4096, name="score")
+        for pair in history:
+            cache.put(pair, 0.5)
+        cache.stats.inserts = cache.stats.evictions = 0
+        return cache
+
+    expected = full_cache()
+    consult_and_write_per_key(expected, pairs, scores)
+    return full_cache, pairs, scores, expected
+
+
+def consult_and_write_per_key(cache, pairs, scores):
+    for pair in pairs:
+        cache.get(pair)
+    for pair, score in zip(pairs, scores):
+        cache.put(pair, score)
+    return cache
+
+
+def consult_and_write_batch(cache, pairs, scores):
+    cache.get_many(pairs)
+    cache.put_many(pairs, scores)
+    return cache
+
+
+def assert_same_cache(got, want):
+    assert got.keys() == want.keys()
+    assert [got.peek(k) for k in got.keys()] == [want.peek(k) for k in want.keys()]
+    assert got.stats == want.stats
+
+
+def test_micro_score_cache(benchmark, score_traffic):
+    """One batch's consult + write-back as one get_many + one put_many."""
+    full_cache, pairs, scores, expected = score_traffic
+    cache = benchmark.pedantic(
+        consult_and_write_batch,
+        setup=lambda: ((full_cache(), pairs, scores), {}),
+        rounds=100,
+    )
+    assert_same_cache(cache, expected)
+
+
+def test_micro_score_cache_per_key(benchmark, score_traffic):
+    """The same traffic as 1,015 gets then 1,015 puts, one key at a time."""
+    full_cache, pairs, scores, expected = score_traffic
+    cache = benchmark.pedantic(
+        consult_and_write_per_key,
+        setup=lambda: ((full_cache(), pairs, scores), {}),
+        rounds=100,
+    )
+    assert_same_cache(cache, expected)
 
 
 # -- lint engine: cold parse vs warm cache ------------------------------------

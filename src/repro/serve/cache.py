@@ -1,22 +1,33 @@
 """Content-addressed LRU caching for the serving layer.
 
-Two caches back :class:`repro.serve.service.MatchService`: a *tuple
-embedding* cache (query record → embedding vector) and a *pair score*
-cache ((query key, candidate id) → match probability).  Both are keyed by
-:func:`content_key` digests of record *content*, never by object identity
-— so a repeated query hits regardless of which dict instance carries it,
-and the hit pattern is a deterministic function of the workload.
+Three cache tiers back :class:`repro.serve.service.MatchService`: a
+*tuple embedding* cache (query key → embedding vector), a *pair score*
+cache ((query key, candidate id) → match probability) and a *column*
+cache (query key → the per-attribute embedding stack the scoring kernel
+reads).  All are keyed by :func:`content_key` digests of record
+*content*, never by object identity — so a repeated query hits
+regardless of which dict instance carries it, and the hit pattern is a
+deterministic function of the workload.
 
 Eviction is strict LRU over a single-threaded access sequence, which
 keeps the cache state (and therefore the simulated cost of every batch)
 replayable.  Hit/miss/eviction counts are kept per cache and mirrored
 into guarded ``serve.cache.<name>.*`` metrics.
+
+The batch methods :meth:`LRUCache.get_many` and :meth:`LRUCache.put_many`
+are exact: each ends in the entries, recency order, ``stats`` and
+``serve.cache.<name>.*`` counter totals that calling :meth:`LRUCache.get`
+or :meth:`LRUCache.put` once per key, in order, would leave.  They add
+each counter's total in one increment and never touch a counter by zero,
+so a counter exists exactly when the per-key calls would have made it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.utils.content import content_key
@@ -114,6 +125,29 @@ class LRUCache:
             _OBS.counter(f"serve.cache.{self.name}.misses").inc()
         return MISSING
 
+    def get_many(self, keys: "Sequence[object]") -> list:
+        """:meth:`get` of every key in order, as one call.
+
+        Returns the values (:data:`MISSING` for a miss).  Hits move to
+        the most-recent end in lookup order — a repeated key moves each
+        time — and misses move nothing, exactly as the per-key loop.
+        """
+        entries = self._entries
+        if entries.keys().isdisjoint(keys):
+            hits = 0
+            values = [MISSING] * len(keys)
+        else:
+            found = [key for key in keys if key in entries]
+            values = [entries.get(key, MISSING) for key in keys]
+            for key in found:
+                entries.move_to_end(key)
+            hits = len(found)
+        self.stats.hits += hits
+        self.stats.misses += len(keys) - hits
+        self._count("hits", hits)
+        self._count("misses", len(keys) - hits)
+        return values
+
     def peek(self, key: object) -> object:
         """Like :meth:`get` but with no stats or recency side effects."""
         return self._entries.get(key, MISSING)
@@ -131,6 +165,50 @@ class LRUCache:
             self.stats.evictions += 1
             if _OBS.enabled:
                 _OBS.counter(f"serve.cache.{self.name}.evictions").inc()
+
+    def put_many(
+        self, keys: "Sequence[object]", values: "Sequence[object]"
+    ) -> None:
+        """:meth:`put` of every ``(key, value)`` pair in order, as one call.
+
+        When every key is new and no key repeats, the per-key loop ends
+        with the old entries followed by the new ones, less the oldest
+        ``len + n - capacity`` — even when ``n`` exceeds the capacity —
+        so one insert and one eviction pass give its state, stats and
+        counters.  Any other input replays :meth:`put` key by key: a key
+        already present can be evicted by an earlier put in the call and
+        then re-inserted, which one pass would count differently.
+        """
+        if len(keys) != len(values):
+            raise ValueError(
+                f"put_many needs one value per key, got {len(keys)} keys "
+                f"and {len(values)} values"
+            )
+        if self.capacity == 0:
+            return
+        entries = self._entries
+        if entries.keys().isdisjoint(keys):
+            before = len(entries)
+            entries.update(zip(keys, values))
+            if len(entries) - before == len(keys):
+                excess = max(len(entries) - self.capacity, 0)
+                for key in list(islice(entries, excess)):
+                    del entries[key]
+                self.stats.inserts += len(keys)
+                self.stats.evictions += excess
+                self._count("evictions", excess)
+                return
+            # A key repeats within the call.  Every key was new, so
+            # dropping them restores the old entries exactly.
+            for key in keys:
+                entries.pop(key, None)
+        for key, value in zip(keys, values):
+            self.put(key, value)
+
+    def _count(self, event: str, amount: int) -> None:
+        """Add ``amount`` to a guarded counter; zero makes no counter."""
+        if amount and _OBS.enabled:
+            _OBS.counter(f"serve.cache.{self.name}.{event}").inc(float(amount))
 
     def clear(self) -> None:
         """Drop every entry (stats are preserved — they are a run log)."""

@@ -59,6 +59,8 @@ the already-swapped fingerprint and no-ops).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -150,6 +152,14 @@ def _embedder_mismatch(embedder, reference) -> "str | None":
     if embedder.method != reference.method:
         return f"method ({embedder.method!r} != {reference.method!r})"
     return None
+
+
+def _owner_of(owned) -> "dict[str, int]":
+    """Owning shard per candidate id of the owners' uncached pairs."""
+    owner_of: dict[str, int] = {}
+    for s, pairs in owned:
+        owner_of.update(dict.fromkeys(map(itemgetter(1), pairs), s))
+    return owner_of
 
 
 def _keyed_by_home(keys, home_by_key: dict, record_by_key: dict) -> list:
@@ -353,9 +363,11 @@ class MatchService:
         key's home shard → candidate lookup + score-cache consult on
         every shard → sorted-union merge → :meth:`_score_canonical` →
         each score written back to the shard owning its pair → answers
-        assembled from this batch's scores.  The topology hooks
-        :meth:`_route`, :meth:`_shard_call` and :meth:`_report` supply
-        routing, per-shard calls and the report.
+        assembled from this batch's scores.  The score cache is read with
+        one ``get_many`` per shard and written with one ``put_many`` per
+        owning shard; the rest of the bookkeeping runs per key, not per
+        pair.  The topology hooks :meth:`_route`, :meth:`_shard_call` and
+        :meth:`_report` supply routing, per-shard calls and the report.
         """
         if not records:
             return self._report(BatchReport([], 0, 0, 0), [], [], 0)
@@ -396,9 +408,9 @@ class MatchService:
 
         # Candidate + score-cache stage on every shard (each sees every
         # query; its candidates are the global set ∩ its members).
-        # ``scores_now`` carries this batch's scores locally so answers do
+        # Answers read this batch's scores, never the cache, so they do
         # not depend on cache capacity (a 0-capacity cache stores nothing).
-        scores_now: dict[tuple[str, str], float] = {}
+        cached_scores: dict[tuple[str, str], float] = {}
         hits_by_key = dict.fromkeys(distinct, 0)
         candidates_by_shard: list[dict[str, list[str]]] = []
         to_score_by_shard: list[list[tuple[str, str]]] = []
@@ -410,7 +422,7 @@ class MatchService:
                 self._shard_call(group, consult)
             candidates_by_shard.append(local_candidates)
             to_score_by_shard.append(local_to_score)
-            scores_now.update(local_scores)
+            cached_scores.update(local_scores)
             for key, count in local_hits.items():
                 hits_by_key[key] += count
             failovers += used
@@ -418,32 +430,56 @@ class MatchService:
         # Merge: sorted union of the shard candidate lists.  The shard
         # views partition the reference table, so the union has no
         # duplicates and sorting restores exactly the unsharded (sorted)
-        # candidate order; score ties later break to the smallest tuple
-        # id inside _assemble, sharded or not.  One shard's lists are
-        # already that union.
+        # candidate order; score ties later break to the first maximum
+        # of that list — the smallest tuple id — sharded or not.  One
+        # shard's lists are already that union.
         candidates_by_key = candidates_by_shard[0] if len(groups) == 1 else {
-            key: sorted(c for local in candidates_by_shard for c in local[key])
+            key: sorted(chain.from_iterable(local[key] for local in candidates_by_shard))
             for key in distinct
         }
+
+        # Canonical order of the uncached pairs: keys in first-occurrence
+        # order, ids ascending within a key — a subsequence of each key's
+        # merged list.  A key with no cached score has all its candidates
+        # uncached, so its ids are that list as it stands.
+        uncached_by_key: dict[str, list[str]] = {}
+        for key in distinct:
+            ids, hits = candidates_by_key[key], hits_by_key[key]
+            if not hits and ids:
+                uncached_by_key[key] = ids
+            elif hits < len(ids):
+                uncached_by_key[key] = [c for c in ids if (key, c) not in cached_scores]
 
         # Scoring stage: one call over every shard's uncached pairs, then
         # each score written back to the shard whose consult returned it.
         owned = [(s, pairs) for s, pairs in enumerate(to_score_by_shard) if pairs]
-        to_score: list[tuple[str, str]] = []
+        probabilities: list[float] = []
         if owned:
-            to_score, probabilities, used = self._score_canonical(
-                groups, owned, distinct, home_by_key, record_by_key, fresh_columns
+            probabilities, used = self._score_canonical(
+                groups, owned, uncached_by_key, home_by_key, record_by_key,
+                fresh_columns,
             )
             failovers += used
-            scores_now.update(zip(to_score, probabilities))
-            for s, pairs in owned:
-                score_cache = groups[s].primary.score_cache
-                for pair_key in pairs:
-                    score_cache.put(pair_key, scores_now[pair_key])
+            self._write_back(groups, owned, uncached_by_key, probabilities)
 
+        # Each key's scores in candidate order: an uncached key's are one
+        # contiguous run of the canonical probabilities; a key with cached
+        # scores interleaves them with its run.
+        scores_by_key: dict[str, list[float]] = {}
+        start = 0
+        for key, ids in uncached_by_key.items():
+            scores_by_key[key] = probabilities[start:start + len(ids)]
+            start += len(ids)
+        for key in distinct:
+            if hits_by_key[key]:
+                fresh = iter(scores_by_key.get(key, ()))
+                scores_by_key[key] = [
+                    cached_scores[(key, c)] if (key, c) in cached_scores else next(fresh)
+                    for c in candidates_by_key[key]
+                ]
         answers = [
             self._assemble(
-                key, candidates_by_key[key], scores_now,
+                key, candidates_by_key[key], scores_by_key.get(key, []),
                 key in hit_keys, hits_by_key[key],
             )
             for key in keys
@@ -453,21 +489,21 @@ class MatchService:
             _OBS.histogram("serve.batch_queries").observe(len(records))
         report = BatchReport(
             answers=answers,
-            scored_pairs=len(to_score),
+            scored_pairs=len(probabilities),
             embedding_misses=len(distinct) - len(hit_keys),
-            predict_calls=1 if to_score else 0,
+            predict_calls=1 if probabilities else 0,
         )
         return self._report(report, to_score_by_shard, home_misses, failovers)
 
     def _score_canonical(
-        self, groups, owned, distinct, home_by_key, record_by_key, fresh_columns
+        self, groups, owned, uncached_by_key, home_by_key, record_by_key,
+        fresh_columns,
     ):
         """Score the owners' uncached pairs in one call, in canonical order.
 
-        ``owned`` lists ``(shard_id, uncached pairs)`` per scoring shard.
-        Canonical order is key first-occurrence, then candidate id: the
-        order one shard's consult returns its pairs in, so a lone owner's
-        list is canonical as it stands and several are merged.  Each
+        ``owned`` lists ``(shard_id, uncached pairs)`` per scoring shard;
+        ``uncached_by_key`` gives the same pairs in canonical order — key
+        first-occurrence, then candidate id — as each key's ids.  Each
         pair's reference side comes from its owner.  The scored *work*
         belongs to the shards — the cost model and the ShardWork
         breakdown charge each shard its own pairs — but the floating-point
@@ -481,28 +517,23 @@ class MatchService:
         distinct rows (the scoring keys' column stacks; each owner's
         distinct candidate rows) plus each pair's row, so the feature
         kernel works out per-row terms once per row, not once per pair.
+        The row indices are built per key and by C-level maps, with no
+        per-pair Python loop.
 
-        Returns the canonical pairs, their probabilities and the
-        failovers used.  The gathered stacks die with this frame, before
-        write-back and assembly (holding them raised peak RSS).
+        Returns the probabilities in canonical order and the failovers
+        used.  The gathered stacks die with this frame, before write-back
+        and assembly (holding them raised peak RSS).
         """
         failovers = 0
-        order = None
-        if len(owned) == 1:
-            to_score = owned[0][1]
-        else:
-            pooled = [pair for _, pairs in owned for pair in pairs]
-            rank = {key: i for i, key in enumerate(distinct)}
-            order = sorted(
-                range(len(pooled)), key=lambda i: (rank[pooled[i][0]], pooled[i][1])
-            )
-            to_score = [pooled[i] for i in order]
+        n_pairs = sum(len(pairs) for _, pairs in owned)
         if self.scoring == "kernel":
             # Column stage: each scoring key's column stack once, on its
             # home shard — one column-cache consult per key for any shard
-            # count.
+            # count, keys in first-occurrence order over the owners' pairs.
             columns_by_key: dict[str, np.ndarray] = {}
-            scoring_keys = dict.fromkeys(key for _, pairs in owned for key, _ in pairs)
+            scoring_keys = dict.fromkeys(chain.from_iterable(
+                map(itemgetter(0), pairs) for _, pairs in owned
+            ))
             for shard_id, keyed in _keyed_by_home(
                 scoring_keys, home_by_key, record_by_key
             ):
@@ -518,16 +549,18 @@ class MatchService:
             query_row = {key: row for row, key in enumerate(scoring_keys)}
             query_side = PairSide(
                 np.array([columns_by_key[key] for key in scoring_keys]),
-                np.array([query_row[key] for key, _ in to_score], dtype=np.intp),
+                np.repeat(
+                    np.array([query_row[key] for key in uncached_by_key], dtype=np.intp),
+                    [len(ids) for ids in uncached_by_key.values()],
+                ),
             )
-            # Each owner's distinct candidate rows, stacked owner after
-            # owner; each pair indexes its row, in canonical order (exact
-            # row copies, bit-identical to one global gather).
-            parts, index_parts, offset = [], [], 0
+            # Each owner's distinct candidate rows, in first-occurrence
+            # order, stacked owner after owner; each pair indexes its
+            # row, in canonical order (exact row copies, bit-identical to
+            # one global gather).  The owners partition the ids.
+            parts, row_of = [], {}
             for s, pairs in owned:
-                local: dict[str, int] = {}
-                rows_of_pairs = [local.setdefault(c, len(local)) for _, c in pairs]
-                wanted = list(local)
+                wanted = list(dict.fromkeys(map(itemgetter(1), pairs)))
                 rows, used = self._shard_call(
                     groups[s],
                     lambda svc, ids=wanted: svc.index.column_rows(ids),
@@ -535,25 +568,48 @@ class MatchService:
                         isinstance(r, np.ndarray) and len(r) == len(ids)
                     ),
                 )
+                row_of.update(zip(wanted, range(len(row_of), len(row_of) + len(wanted))))
                 parts.append(rows)
-                index_parts.append(np.array(rows_of_pairs, dtype=np.intp) + offset)
-                offset += len(wanted)
                 failovers += used
-            reference_index = np.concatenate(index_parts)
             reference_side = PairSide(
                 parts[0] if len(parts) == 1 else np.concatenate(parts),
-                reference_index if order is None else reference_index[order],
+                np.fromiter(
+                    map(row_of.__getitem__, chain.from_iterable(uncached_by_key.values())),
+                    dtype=np.intp, count=n_pairs,
+                ),
             )
         else:
-            query_side = [record_by_key[key] for key, _ in to_score]
-            references = [
-                groups[s].primary.index.record(c)
-                for s, pairs in owned for _, c in pairs
+            query_side = [
+                record_by_key[key]
+                for key, ids in uncached_by_key.items() for _ in ids
             ]
-            reference_side = (
-                references if order is None else [references[i] for i in order]
-            )
-        return to_score, self.score_uncached(query_side, reference_side), failovers
+            owner_of = _owner_of(owned)
+            reference_side = [
+                groups[owner_of[c]].primary.index.record(c)
+                for ids in uncached_by_key.values() for c in ids
+            ]
+        return self.score_uncached(query_side, reference_side), failovers
+
+    @staticmethod
+    def _write_back(groups, owned, uncached_by_key, probabilities) -> None:
+        """One ``put_many`` per owner: its pairs, in its consult order.
+
+        An owner's consult order is the canonical order restricted to the
+        owner's pairs (both run keys in first-occurrence order and ids
+        ascending), so its scores are the canonical probabilities whose
+        candidate it owns, in order.
+        """
+        if len(owned) == 1:
+            (s, pairs), = owned
+            groups[s].primary.score_cache.put_many(pairs, probabilities)
+            return
+        owners = np.fromiter(
+            map(_owner_of(owned).__getitem__, chain.from_iterable(uncached_by_key.values())),
+            dtype=np.intp, count=len(probabilities),
+        )
+        scores = np.array(probabilities)
+        for s, pairs in owned:
+            groups[s].primary.score_cache.put_many(pairs, scores[owners == s].tolist())
 
     # ------------------------------------------------------------------ #
     # topology hooks (one shard; ShardedMatchService overrides all three)
@@ -633,22 +689,26 @@ class MatchService:
     ) -> "tuple[dict[tuple[str, str], float], dict[str, int], list[tuple[str, str]]]":
         """Score-cache consult over every (query key, candidate id) pair.
 
-        Returns the cached scores, the per-key hit counts, and the ordered
-        list of uncached pairs still needing the matcher.
+        One :meth:`LRUCache.get_many` over the pairs, key by key, each
+        key's candidates in order.  Returns the cached scores, the
+        per-key hit counts, and the ordered list of uncached pairs still
+        needing the matcher.
         """
-        scores_now: dict[tuple[str, str], float] = {}
-        hits_by_key: dict[str, int] = {}
-        to_score: list[tuple[str, str]] = []
+        pair_keys: list[tuple[str, str]] = []
         for key, candidate_ids in candidates_by_key.items():
-            hits_by_key[key] = 0
-            for candidate_id in candidate_ids:
-                pair_key = (key, candidate_id)
-                cached = self.score_cache.get(pair_key)
-                if cached is MISSING:
-                    to_score.append(pair_key)
-                else:
-                    scores_now[pair_key] = cached
-                    hits_by_key[key] += 1
+            pair_keys += zip(repeat(key), candidate_ids)
+        cached = self.score_cache.get_many(pair_keys)
+        hits_by_key = dict.fromkeys(candidates_by_key, 0)
+        if cached.count(MISSING) == len(pair_keys):
+            return {}, hits_by_key, pair_keys
+        scores_now: dict[tuple[str, str], float] = {}
+        to_score: list[tuple[str, str]] = []
+        for pair_key, value in zip(pair_keys, cached):
+            if value is MISSING:
+                to_score.append(pair_key)
+            else:
+                scores_now[pair_key] = value
+                hits_by_key[pair_key[0]] += 1
         return scores_now, hits_by_key, to_score
 
     def resolve_columns(
@@ -723,21 +783,21 @@ class MatchService:
         self,
         key: str,
         candidate_ids: list[str],
-        scores_now: dict[tuple[str, str], float],
+        scores: list[float],
         embedding_cached: bool,
         scores_cached: int,
     ) -> MatchAnswer:
-        """Build one answer from this batch's resolved scores."""
+        """Build one answer from its candidates' scores, in candidate order."""
         if not candidate_ids:
             return MatchAnswer(
                 query_key=key, candidates=(), best_id=None, probability=0.0,
                 matched=False, embedding_cached=embedding_cached, scores_cached=0,
             )
-        scores = {c: scores_now[(key, c)] for c in candidate_ids}
-        # Highest probability wins; ties break to the smallest id so the
-        # answer is deterministic whatever the probe order was.
-        best_id = min(candidate_ids, key=lambda c: (-scores[c], c))
-        probability = scores[best_id]
+        # Highest probability wins; ties break to the first maximum, which
+        # is the smallest id because candidate lists are sorted and
+        # distinct — deterministic whatever the probe order was.
+        probability = max(scores)
+        best_id = candidate_ids[scores.index(probability)]
         return MatchAnswer(
             query_key=key,
             candidates=tuple(candidate_ids),

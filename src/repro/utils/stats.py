@@ -10,6 +10,7 @@ simulator (or copy the arithmetic) to report latency percentiles.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 __all__ = ["percentile"]
 
@@ -19,11 +20,13 @@ def percentile(ordered: list[float], q: float) -> float:
 
     Nearest-rank (ceil) rather than interpolation: the result is always an
     observed value, which keeps reported tail latencies honest and the
-    arithmetic trivially bit-stable.
+    arithmetic trivially bit-stable.  The rank is ⌈q·n/100⌉ computed
+    exactly for ``q`` as written (``99.9`` is 999/10): in floating point,
+    ``7 / 100.0 * 100`` rounds up past 7 and would pick the 8th value.
     """
     if not ordered:
         return 0.0
     if not 0 < q <= 100:
         raise ValueError(f"percentile must be in (0, 100], got {q}")
-    rank = math.ceil(q / 100.0 * len(ordered))
+    rank = math.ceil(Fraction(str(q)) * len(ordered) / 100)
     return ordered[rank - 1]

@@ -14,7 +14,8 @@ from repro.embeddings import TupleEmbedder
 from repro.er import DeepER
 from repro.obs import REGISTRY, collecting
 from repro.serve import BlockingIndex, MatchService, ShardedMatchService
-from repro.serve.cache import content_key
+from repro.serve.cache import LRUCache, MISSING, content_key
+from repro.serve.shard import shard_of_id, shard_of_key
 from repro.text import Vocabulary, word_tokenize
 
 
@@ -333,3 +334,143 @@ class TestCacheCounters:
         }
         assert got == self.EXPECTED[n_shards]
         assert fallbacks
+
+
+def serving(trained_matcher, built_index, n_shards, **kwargs):
+    """The unsharded service (``n_shards=None``) or N shards x 2 replicas."""
+    if n_shards is None:
+        return MatchService(trained_matcher, built_index, jobs=1, **kwargs)
+    return ShardedMatchService(
+        trained_matcher, built_index, n_shards=n_shards, jobs=1, **kwargs
+    )
+
+
+class TestScoreCacheCalls:
+    """Counted, not timed: the score tier is read once per shard and
+    written once per owning shard per batch, never key by key."""
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_one_get_many_per_shard_one_put_many_per_owner(
+        self, trained_matcher, built_index, query_records, monkeypatch, n_shards
+    ):
+        calls: list[tuple[str, str]] = []
+        for method in ("get", "put", "get_many", "put_many"):
+            original = getattr(LRUCache, method)
+
+            def counting(cache, *args, _method=method, _original=original):
+                calls.append((_method, cache.name))
+                return _original(cache, *args)
+
+            monkeypatch.setattr(LRUCache, method, counting)
+        service = serving(trained_matcher, built_index, n_shards)
+        tiers = [group.primary.score_cache.name for group in service.groups]
+        batch = query_records[:8]
+        assert len({content_key(r) for r in batch}) == 8
+
+        def score_calls():
+            made = [(method, name) for method, name in calls if name in tiers]
+            calls.clear()
+            return sorted(made)
+
+        report = service.match_batch(batch)
+        assert report.embedding_misses == 8 and report.scored_pairs > 0
+        owners = (
+            tiers if n_shards is None
+            else [tiers[work.shard] for work in report.shards if work.scored_pairs]
+        )
+        assert len(owners) == len(tiers)
+        assert score_calls() == sorted(
+            [("get_many", name) for name in tiers]
+            + [("put_many", name) for name in owners]
+        )
+        warm = service.match_batch(batch)
+        assert warm.scored_pairs == 0
+        assert score_calls() == sorted(("get_many", name) for name in tiers)
+
+
+def constant_scores(monkeypatch, matcher, value=0.5):
+    """Every pair scores ``value``, through either scorer."""
+    monkeypatch.setattr(
+        service_module, "score_pairs",
+        lambda classifier, query_side, reference_side: np.full(len(query_side), value),
+    )
+    monkeypatch.setattr(
+        matcher, "predict_proba", lambda pairs: np.full(len(pairs), value)
+    )
+
+
+class TestTies:
+    """Equal scores break to the smallest candidate id in every topology.
+
+    Scores are patched to one constant: equal rows can differ in their
+    last bit across GEMM row blocks, so natural ties cannot be built
+    reliably.
+    """
+
+    @pytest.mark.parametrize("scoring", ["kernel", "loop"])
+    @pytest.mark.parametrize("n_shards", [None, 1, 2, 4])
+    def test_ties_break_to_the_smallest_id(
+        self, trained_matcher, built_index, query_records, monkeypatch,
+        n_shards, scoring,
+    ):
+        constant_scores(monkeypatch, trained_matcher)
+        # A small score tier evicts between batches, so the second batch
+        # mixes fresh keys, fully cached keys and partly cached keys.
+        service = serving(
+            trained_matcher, built_index, n_shards,
+            score_cache_size=40, scoring=scoring,
+        )
+        answers = []
+        for batch in (query_records[:6], query_records[3:12], query_records[:12]):
+            answers += service.match_batch(batch).answers
+        tied = [a for a in answers if len(a.candidates) > 1]
+        assert len(tied) > len(answers) // 2
+        assert any(0 < a.scores_cached < len(a.candidates) for a in tied)
+        for answer in answers:
+            if answer.candidates:
+                assert list(answer.candidates) == sorted(answer.candidates)
+                assert answer.best_id == min(answer.candidates)
+                assert answer.probability == 0.5
+
+
+class TestAnswerCacheFields:
+    """``scores_cached`` and ``embedding_cached`` report what the caches
+    held when the batch arrived, read with ``peek`` just before it."""
+
+    SEQUENCE = TestCacheCounters.SEQUENCE
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_fields_match_the_cache_contents(
+        self, trained_matcher, built_index, query_records, n_shards
+    ):
+        service = serving(
+            trained_matcher, built_index, n_shards,
+            embedding_cache_size=2, score_cache_size=64,
+        )
+        groups = service.groups
+        n = len(groups)
+        partial = 0
+        for batch in self.SEQUENCE:
+            records = [query_records[i] for i in batch]
+            expected = []
+            for record, embedding in zip(
+                records, built_index.embed_queries(records)
+            ):
+                key = content_key(record)
+                home = groups[shard_of_key(key, n) if n_shards else 0].primary
+                candidates = built_index.candidates(embedding)
+                expected.append((
+                    tuple(candidates),
+                    home.embedding_cache.peek(key) is not MISSING,
+                    sum(
+                        groups[shard_of_id(c, n) if n_shards else 0]
+                        .primary.score_cache.peek((key, c)) is not MISSING
+                        for c in candidates
+                    ),
+                ))
+            answers = service.match_batch(records).answers
+            assert [
+                (a.candidates, a.embedding_cached, a.scores_cached) for a in answers
+            ] == expected
+            partial += sum(0 < a.scores_cached < len(a.candidates) for a in answers)
+        assert partial

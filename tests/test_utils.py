@@ -15,6 +15,7 @@ from repro.utils import (
     check_probability,
     check_same_length,
     ensure_rng,
+    percentile,
     spawn_rng,
 )
 
@@ -113,3 +114,24 @@ class TestInitializers:
     def test_fans_validation(self):
         with pytest.raises(ValueError):
             init.xavier_uniform((), rng=0)
+
+
+class TestPercentile:
+    """Nearest rank ⌈q·n/100⌉, exact for ``q`` as written."""
+
+    def test_every_integer_q_against_the_integer_ceiling(self):
+        for n in range(1, 1001):
+            ordered = list(range(1, n + 1))
+            for q in range(1, 101):
+                assert percentile(ordered, q) == -(-q * n // 100), (q, n)
+
+    def test_decimal_q_against_the_integer_ceiling(self):
+        for n in range(1, 1001):
+            ordered = list(range(1, n + 1))
+            assert percentile(ordered, 99.9) == -(-999 * n // 1000), n
+            assert percentile(ordered, 0.1) == -(-n // 1000), n
+
+    def test_float_rounding_no_longer_moves_the_rank(self):
+        # 7 / 100.0 * 100 is 7.000000000000001 in floating point.
+        assert percentile(list(range(1, 101)), 7) == 7
+        assert percentile(list(range(1, 1001)), 99.9) == 999
