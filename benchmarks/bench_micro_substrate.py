@@ -7,9 +7,10 @@ LSTM steps, SGNS epochs, LSH signatures, and pair featurisation.
 
 The ``pair scoring`` rows are the before/after pair for the
 :mod:`repro.kernels` rewrite: the same DeepER featurisation over the
-same 200 pairs, once through the per-pair loop (``kernels=False``) and
-once through the batched matmul path — plus the int8 quantized-store
-gather feeding :func:`repro.kernels.pair_feature_matrix` directly.
+same 200 pairs, once through the per-pair loop reference
+(:func:`repro.kernels.reference._pair_feature_row`) and once through the
+batched matmul path — plus the int8 quantized-store gather feeding
+:func:`repro.kernels.pair_feature_matrix` directly.
 These measurements calibrate the kernel cost model in
 ``bench_e17_serving``.
 
@@ -45,8 +46,8 @@ from repro.cleaning import FDRepairer
 from repro.data import FunctionalDependency, Table
 from repro.embeddings import TupleEmbedder
 from repro.er import DeepER, LSHBlocker, pair_features
-from repro.er.deeper import _pair_feature_row
 from repro.kernels import PairSide, pair_feature_matrix, quantize
+from repro.kernels.reference import _pair_feature_row
 from repro.nn import Adam, LSTM, Tensor, bce_with_logits, mlp
 from repro.serve.cache import LRUCache, content_key
 from repro.text import SkipGram
@@ -159,32 +160,30 @@ def scoring_setup():
 
     distinct = [record(i) for i in range(40)]
     pairs = [(distinct[i % 40], distinct[(i * 7) % 40]) for i in range(200)]
-    matchers = {
-        kernels: DeepER(
-            model, ["title", "authors"], composition="sif", rng=0,
-            kernels=kernels,
-        )
-        for kernels in (False, True)
-    }
-    return matchers, pairs
+    matcher = DeepER(model, ["title", "authors"], composition="sif", rng=0)
+    return matcher, pairs
+
+
+def _loop_features(pairs, embedder) -> np.ndarray:
+    return np.array([_pair_feature_row(pair, embedder) for pair in pairs])
 
 
 def test_micro_pair_scoring_loop(benchmark, scoring_setup):
     """DeepER featurisation of 200 pairs via the per-pair loop (before)."""
-    matchers, pairs = scoring_setup
+    matcher, pairs = scoring_setup
 
-    features = benchmark(matchers[False]._pair_features_numpy, pairs)
+    features = benchmark(_loop_features, pairs, matcher.embedder)
     assert features.shape[0] == 200
 
 
 def test_micro_pair_scoring_kernel(benchmark, scoring_setup):
     """The same 200 pairs through the batched kernel (after) — and the
     two paths must agree bit-for-bit, which is the whole contract."""
-    matchers, pairs = scoring_setup
+    matcher, pairs = scoring_setup
 
-    features = benchmark(matchers[True]._pair_features_numpy, pairs)
+    features = benchmark(matcher._pair_features_numpy, pairs)
     assert features.shape[0] == 200
-    assert np.array_equal(features, matchers[False]._pair_features_numpy(pairs))
+    assert np.array_equal(features, _loop_features(pairs, matcher.embedder))
 
 
 def test_micro_quantized_gather_features(benchmark, scoring_setup):
@@ -194,8 +193,8 @@ def test_micro_quantized_gather_features(benchmark, scoring_setup):
     dequantized rows gathered from the int8 store, query columns come in
     float; one `pair_feature_matrix` call scores the whole batch.
     """
-    matchers, pairs = scoring_setup
-    embedder = matchers[True].embedder
+    matcher, pairs = scoring_setup
+    embedder = matcher.embedder
     uniques = {id(r): r for r, _ in pairs} | {id(r): r for _, r in pairs}
     stack = np.array([embedder.embed_columns(r) for r in uniques.values()])
     row_of = {key: row for row, key in enumerate(uniques)}

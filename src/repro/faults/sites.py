@@ -49,10 +49,8 @@ RETRY_SITES: dict[str, str] = {
     "er.deeper.pair_features": "DeepER pair featurisation (attempts=2)",
     "serve.score": (
         "MatchService batch scoring, one canonical-order call per batch "
-        "through the batched kernel (repro.kernels.score_pairs; "
-        "DeepER.predict_proba under scoring='loop' or a trainable "
-        "composer); validated shape/finiteness, retried under HOT_POLICY "
-        "(attempts=2)"
+        "through the batched kernel (repro.kernels.score_pairs); validated "
+        "shape/finiteness, retried under HOT_POLICY (attempts=2)"
     ),
     "serve.shard.query": (
         "ShardedMatchService per-shard call on one shard group: home-shard "

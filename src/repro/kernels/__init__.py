@@ -18,7 +18,9 @@ per micro-batch, **provably** equivalent to the loops it replaces:
   bound, idempotent round-trip, PYTHONHASHSEED-proof content keys).
 
 The differential test tier under ``tests/kernels/`` enforces the
-equivalence claims; run it standalone with::
+equivalence claims against the loop references in
+:mod:`repro.kernels.reference`, which no production module imports; run
+it standalone with::
 
     PYTHONPATH=src python -m pytest tests/kernels -q
 """

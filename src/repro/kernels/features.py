@@ -3,8 +3,8 @@
 The DeepER hot path (fixed compositions) turns a record pair into
 attribute-aligned similarity features: per compare column, the
 elementwise ``|û − v̂|`` of the unit-normalised attribute vectors plus
-``cos(u, v)``.  The historical implementation computed this one pair at
-a time in Python (:func:`repro.er.deeper._pair_feature_row`); these
+``cos(u, v)``.  The loop reference computes this one pair at a time in
+Python (:func:`repro.kernels.reference._pair_feature_row`); these
 kernels compute the identical features for a whole batch with numpy
 array ops — one multiply/reduce over a ``(pairs, columns, dim)`` stack
 instead of ``pairs × columns`` scalar loop iterations.

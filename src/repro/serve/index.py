@@ -31,12 +31,6 @@ from repro.par import pmap
 __all__ = ["BlockingIndex"]
 
 
-def _embed_record(record: "dict[str, object]", embedder: TupleEmbedder) -> np.ndarray:
-    """One tuple embedding; module-level so :func:`repro.par.pmap` workers
-    can pickle it by reference."""
-    return embedder.embed(record)
-
-
 def _embed_record_with_columns(
     record: "dict[str, object]", embedder: TupleEmbedder
 ) -> "tuple[np.ndarray, np.ndarray]":
@@ -201,16 +195,9 @@ class BlockingIndex:
         self, records: list[dict[str, object]], *, jobs: int = 1
     ) -> np.ndarray:
         """Tuple embeddings for query records (same embedder as the index)."""
-        if not records:
-            return np.zeros((0, self.embedder.dim))
-        return np.array(
-            pmap(
-                partial(_embed_record, embedder=self.embedder),
-                records,
-                jobs=jobs,
-                label="serve.query.embed",
-            )
-        )
+        return np.array([
+            vector for vector, _ in self.embed_queries_with_columns(records, jobs=jobs)
+        ]).reshape(len(records), self.embedder.dim)
 
     def embed_queries_with_columns(
         self, records: list[dict[str, object]], *, jobs: int = 1
@@ -218,7 +205,7 @@ class BlockingIndex:
         """``(tuple embedding, per-attribute stack)`` per query record.
 
         One token pass per record makes both (bit-identical to
-        :meth:`embed_queries` and ``embedder.embed_columns``): serving
+        ``embedder.embed`` and ``embedder.embed_columns``): serving
         embeds a never-seen query once and hands its column stack to the
         scoring stage.
         """
@@ -244,7 +231,7 @@ class BlockingIndex:
         for (lo, hi), band_buckets in zip(self.blocker.band_slices(), self._buckets):
             key = signature[lo:hi].tobytes()
             found.update(band_buckets.get(key, ()))
-        return sorted(self._ids[i] for i in found)
+        return sorted(map(self._ids.__getitem__, found))
 
     def record(self, reference_id: str) -> dict[str, object]:
         """The indexed record for ``reference_id`` (KeyError when unknown)."""

@@ -115,7 +115,7 @@ class BatchReport:
     ``scored_pairs`` is the number of *unique uncached* pairs sent to the
     matcher (the simulated cost model charges per scored pair, so cache
     hits make batches measurably faster); ``predict_calls`` is 0 or 1 —
-    the whole batch shares at most one ``predict_proba`` invocation.
+    the whole batch shares at most one scoring call.
     """
 
     answers: "list[MatchAnswer]"
@@ -176,8 +176,11 @@ class MatchService:
     Parameters
     ----------
     matcher:
-        Fitted :class:`DeepER` (fixed composition for the cached-embedding
-        path); flipped to eval mode at construction and kept there.
+        Fitted :class:`DeepER` with a fixed composition (``"mean"`` or
+        ``"sif"``).  A trainable composer's pair representation is not
+        column-decomposable, so the kernel scorer cannot score it and
+        construction raises ``ValueError``.  Flipped to eval mode at
+        construction and kept there.
     index:
         Built :class:`BlockingIndex` over the reference table.  Its
         embedder must equal the matcher's in word model, vector function,
@@ -189,19 +192,9 @@ class MatchService:
         Explicit :mod:`repro.par` process count for query embedding and
         pair featurisation (bit-identical results for every value).
     embedding_cache_size / score_cache_size:
-        LRU capacities; 0 disables the respective cache.  The kernel
-        scoring path adds a third cache (query *column* embeddings) sized
-        like the embedding cache.
-    scoring:
-        ``"kernel"`` (default) scores uncached pairs with the batched
-        :mod:`repro.kernels` path — query columns come from the column
-        cache (embedded once per unique tuple), candidate columns are
-        gathered from the index's precomputed store, one classifier
-        forward per batch.  ``"loop"`` keeps the historical
-        ``predict_proba`` call; with an unquantized index the two are
-        bit-identical (the serving differential tests assert it).
-        Trainable composers always take the loop path — their pair
-        representation is not column-decomposable.
+        LRU capacities; 0 disables the respective cache.  Scoring adds
+        a third cache (query *column* embeddings) sized like the
+        embedding cache.
     cache_scope:
         Prefix for the cache names (and therefore the guarded
         ``serve.cache.<scope><name>.*`` metric counters).  The sharded
@@ -220,7 +213,6 @@ class MatchService:
         jobs: int = 1,
         embedding_cache_size: int = 1024,
         score_cache_size: int = 4096,
-        scoring: str = "kernel",
         cache_scope: str = "",
     ) -> None:
         check_fitted(matcher, "trained_")
@@ -228,8 +220,11 @@ class MatchService:
             raise RuntimeError("BlockingIndex must be built before serving")
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        if scoring not in {"kernel", "loop"}:
-            raise ValueError(f"scoring must be 'kernel' or 'loop', got {scoring!r}")
+        if matcher.composer is not None:
+            raise ValueError(
+                f"cannot serve matcher: composition {matcher.composition!r} is "
+                f"trainable; serving scores 'mean' and 'sif' matchers only"
+            )
         mismatch = _embedder_mismatch(matcher.embedder, index.embedder)
         if mismatch is not None:
             raise ValueError(
@@ -239,7 +234,6 @@ class MatchService:
         self.index = index
         self.threshold = threshold
         self.jobs = jobs
-        self.scoring = "loop" if matcher.composer is not None else scoring
         # Serving owns the matcher: inference-only mode, explicit jobs.
         self._bind(matcher)
         self.embedding_cache = LRUCache(embedding_cache_size,
@@ -252,8 +246,6 @@ class MatchService:
         """Serve ``matcher`` from this replica: eval mode, this service's jobs."""
         matcher.jobs = self.jobs
         matcher.classifier.eval()
-        if matcher.composer is not None:
-            matcher.composer.eval()
         self.matcher = matcher
 
     @property
@@ -513,7 +505,7 @@ class MatchService:
         makes the bits a pure function of the pair set, i.e.
         byte-identical for every shard count.
 
-        Kernel scoring hands each side over as a :class:`PairSide`: the
+        Each side goes to the scorer as a :class:`PairSide`: the
         distinct rows (the scoring keys' column stacks; each owner's
         distinct candidate rows) plus each pair's row, so the feature
         kernel works out per-row terms once per row, not once per pair.
@@ -526,68 +518,57 @@ class MatchService:
         """
         failovers = 0
         n_pairs = sum(len(pairs) for _, pairs in owned)
-        if self.scoring == "kernel":
-            # Column stage: each scoring key's column stack once, on its
-            # home shard — one column-cache consult per key for any shard
-            # count, keys in first-occurrence order over the owners' pairs.
-            columns_by_key: dict[str, np.ndarray] = {}
-            scoring_keys = dict.fromkeys(chain.from_iterable(
-                map(itemgetter(0), pairs) for _, pairs in owned
-            ))
-            for shard_id, keyed in _keyed_by_home(
-                scoring_keys, home_by_key, record_by_key
-            ):
-                shard_columns, used = self._shard_call(
-                    groups[shard_id],
-                    lambda svc, keyed=keyed: svc.resolve_columns(keyed, fresh_columns),
-                    validate=lambda r, keyed=keyed: (
-                        isinstance(r, dict) and set(r) == {k for k, _ in keyed}
-                    ),
-                )
-                columns_by_key.update(shard_columns)
-                failovers += used
-            query_row = {key: row for row, key in enumerate(scoring_keys)}
-            query_side = PairSide(
-                np.array([columns_by_key[key] for key in scoring_keys]),
-                np.repeat(
-                    np.array([query_row[key] for key in uncached_by_key], dtype=np.intp),
-                    [len(ids) for ids in uncached_by_key.values()],
+        # Column stage: each scoring key's column stack once, on its
+        # home shard — one column-cache consult per key for any shard
+        # count, keys in first-occurrence order over the owners' pairs.
+        columns_by_key: dict[str, np.ndarray] = {}
+        scoring_keys = dict.fromkeys(chain.from_iterable(
+            map(itemgetter(0), pairs) for _, pairs in owned
+        ))
+        for shard_id, keyed in _keyed_by_home(
+            scoring_keys, home_by_key, record_by_key
+        ):
+            shard_columns, used = self._shard_call(
+                groups[shard_id],
+                lambda svc, keyed=keyed: svc.resolve_columns(keyed, fresh_columns),
+                validate=lambda r, keyed=keyed: (
+                    isinstance(r, dict) and set(r) == {k for k, _ in keyed}
                 ),
             )
-            # Each owner's distinct candidate rows, in first-occurrence
-            # order, stacked owner after owner; each pair indexes its
-            # row, in canonical order (exact row copies, bit-identical to
-            # one global gather).  The owners partition the ids.
-            parts, row_of = [], {}
-            for s, pairs in owned:
-                wanted = list(dict.fromkeys(map(itemgetter(1), pairs)))
-                rows, used = self._shard_call(
-                    groups[s],
-                    lambda svc, ids=wanted: svc.index.column_rows(ids),
-                    validate=lambda r, ids=wanted: (
-                        isinstance(r, np.ndarray) and len(r) == len(ids)
-                    ),
-                )
-                row_of.update(zip(wanted, range(len(row_of), len(row_of) + len(wanted))))
-                parts.append(rows)
-                failovers += used
-            reference_side = PairSide(
-                parts[0] if len(parts) == 1 else np.concatenate(parts),
-                np.fromiter(
-                    map(row_of.__getitem__, chain.from_iterable(uncached_by_key.values())),
-                    dtype=np.intp, count=n_pairs,
+            columns_by_key.update(shard_columns)
+            failovers += used
+        query_row = {key: row for row, key in enumerate(scoring_keys)}
+        query_side = PairSide(
+            np.array([columns_by_key[key] for key in scoring_keys]),
+            np.repeat(
+                np.array([query_row[key] for key in uncached_by_key], dtype=np.intp),
+                [len(ids) for ids in uncached_by_key.values()],
+            ),
+        )
+        # Each owner's distinct candidate rows, in first-occurrence
+        # order, stacked owner after owner; each pair indexes its
+        # row, in canonical order (exact row copies, bit-identical to
+        # one global gather).  The owners partition the ids.
+        parts, row_of = [], {}
+        for s, pairs in owned:
+            wanted = list(dict.fromkeys(map(itemgetter(1), pairs)))
+            rows, used = self._shard_call(
+                groups[s],
+                lambda svc, ids=wanted: svc.index.column_rows(ids),
+                validate=lambda r, ids=wanted: (
+                    isinstance(r, np.ndarray) and len(r) == len(ids)
                 ),
             )
-        else:
-            query_side = [
-                record_by_key[key]
-                for key, ids in uncached_by_key.items() for _ in ids
-            ]
-            owner_of = _owner_of(owned)
-            reference_side = [
-                groups[owner_of[c]].primary.index.record(c)
-                for ids in uncached_by_key.values() for c in ids
-            ]
+            row_of.update(zip(wanted, range(len(row_of), len(row_of) + len(wanted))))
+            parts.append(rows)
+            failovers += used
+        reference_side = PairSide(
+            parts[0] if len(parts) == 1 else np.concatenate(parts),
+            np.fromiter(
+                map(row_of.__getitem__, chain.from_iterable(uncached_by_key.values())),
+                dtype=np.intp, count=n_pairs,
+            ),
+        )
         return self.score_uncached(query_side, reference_side), failovers
 
     @staticmethod
@@ -748,23 +729,18 @@ class MatchService:
     def score_uncached(self, query_side, reference_side) -> "list[float]":
         """One validated, retried scoring call over canonical-order pairs.
 
-        Kernel scoring takes the query and reference sides as
+        Takes the query and reference sides as
         :class:`~repro.kernels.features.PairSide` values of shape
-        ``(pairs, columns, dim)`` — one classifier forward, bit-identical
-        to ``predict_proba`` with an unquantized store; loop scoring takes
-        the two record lists and calls ``predict_proba``.  Returns the
+        ``(pairs, columns, dim)``: one classifier forward, bit-identical
+        to ``predict_proba`` with an unquantized store.  Returns the
         probabilities in pair order.
         """
-        if self.scoring == "kernel":
-            scorer = score_pairs
-            scorer_args = (self.matcher.classifier, query_side, reference_side)
-        else:
-            scorer = self.matcher.predict_proba
-            scorer_args = (list(zip(query_side, reference_side)),)
         n_pairs = len(query_side)
         probabilities = retry_call(
-            scorer,
-            *scorer_args,
+            score_pairs,
+            self.matcher.classifier,
+            query_side,
+            reference_side,
             site="serve.score",
             policy=HOT_POLICY,
             validate=lambda p: (

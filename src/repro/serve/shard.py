@@ -143,7 +143,6 @@ class ShardedMatchService(MatchService):
         jobs: int = 1,
         embedding_cache_size: int = 1024,
         score_cache_size: int = 4096,
-        scoring: str = "kernel",
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -163,7 +162,6 @@ class ShardedMatchService(MatchService):
                     threshold=threshold, jobs=jobs,
                     embedding_cache_size=embedding_cache_size,
                     score_cache_size=score_cache_size,
-                    scoring=scoring,
                     cache_scope=f"shard{shard_id}.",
                 )
                 for _ in range(self.replicas)
@@ -178,7 +176,6 @@ class ShardedMatchService(MatchService):
             groups.append(ShardGroup(shard_id=shard_id, replicas=services))
         self._groups: tuple[ShardGroup, ...] = tuple(groups)
         self.threshold = threshold
-        self.scoring = self._groups[0].primary.scoring
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -1,18 +1,22 @@
-"""Differential tier: batched kernels versus the per-pair loop reference.
+"""Differential tier: batched kernels versus the loop references.
 
 The kernel contract (:mod:`repro.kernels.features`) is *bit-exactness* in
 float mode — not closeness.  Every test here compares full byte patterns
 (``np.array_equal``), across batch sizes 1/2/7/32/1000, empty input and
 duplicate pairs, at three levels: feature matrices, classifier
-probabilities, and end-to-end serving answers.
+probabilities, and end-to-end serving answers.  The references live in
+:mod:`repro.kernels.reference`, which no production module imports.
 """
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.er.deeper import _pair_feature_row
+import repro
 from repro.kernels import (
     PairSide,
     compose_pair_features,
@@ -20,6 +24,7 @@ from repro.kernels import (
     quantize,
     score_pairs,
 )
+from repro.kernels.reference import _pair_feature_row, loop_match_batch
 from repro.serve import MatchService
 
 BATCH_SIZES = [1, 2, 7, 32, 1000]
@@ -82,13 +87,8 @@ class TestFeatureKernel:
         self, trained_matcher, pair_pool
     ):
         pairs = pair_pool[:25]
-        assert trained_matcher.kernels
         kernel_features = trained_matcher._pair_features_numpy(pairs)
-        trained_matcher.kernels = False
-        try:
-            loop_features = trained_matcher._pair_features_numpy(pairs)
-        finally:
-            trained_matcher.kernels = True
+        loop_features = _loop_features(pairs, trained_matcher.embedder)
         assert np.array_equal(kernel_features, loop_features)
 
 
@@ -119,23 +119,19 @@ class TestServingDifferential:
         self, trained_matcher, built_index, query_records
     ):
         queries = query_records[:40]
-        kernel = MatchService(
-            trained_matcher, built_index, jobs=1, scoring="kernel"
-        ).match_batch(queries)
-        loop = MatchService(
-            trained_matcher, built_index, jobs=1, scoring="loop"
-        ).match_batch(queries)
-        assert kernel.scored_pairs == loop.scored_pairs
-        for a, b in zip(kernel.answers, loop.answers):
-            assert a.best_id == b.best_id
-            assert a.probability == b.probability  # bit-equal, not approx
-            assert a.matched == b.matched
+        kernel = MatchService(trained_matcher, built_index, jobs=1).match_batch(queries)
+        loop, loop_pairs = loop_match_batch(trained_matcher, built_index, queries)
+        assert kernel.scored_pairs == loop_pairs
+        assert len(kernel.answers) == len(loop)
+        for a, b in zip(kernel.answers, loop):
+            assert a.best_id == b["best_id"]
+            assert a.probability == b["probability"]  # bit-equal, not approx
+            assert a.matched == b["matched"]
 
     def test_kernel_service_equals_offline_predict(
         self, trained_matcher, built_index, query_records
     ):
         service = MatchService(trained_matcher, built_index, jobs=1)
-        assert service.scoring == "kernel"
         for query in query_records[:12]:
             answer = service.match_one(query)
             if not answer.candidates:
@@ -234,3 +230,31 @@ class TestPerRowTerms:
             pair_feature_matrix(
                 PairSide(queries, query_index), PairSide(queries, query_index[:3])
             )
+
+
+def _imported_modules(path: Path, root: Path) -> "set[str]":
+    """Absolute module names ``path`` imports; ``from a import b`` gives
+    ``a`` and ``a.b``, and relative imports resolve against its package."""
+    package = ("repro",) + path.relative_to(root).parent.parts
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            anchor = package[: len(package) - node.level + 1] if node.level else ()
+            base = ".".join(anchor + ((node.module,) if node.module else ()))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_production_module_imports_the_references():
+    """The loop references stay out of production: no module under
+    ``repro`` imports :mod:`repro.kernels.reference`."""
+    root = Path(repro.__file__).parent
+    importers = [
+        str(path.relative_to(root))
+        for path in sorted(root.rglob("*.py"))
+        if "repro.kernels.reference" in _imported_modules(path, root)
+    ]
+    assert importers == []

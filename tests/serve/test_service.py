@@ -38,6 +38,27 @@ class TestConstruction:
         with pytest.raises(ValueError, match="threshold"):
             MatchService(trained_matcher, built_index, threshold=1.5)
 
+    @pytest.mark.parametrize("composition", ["lstm", "cnn"])
+    @pytest.mark.parametrize("build", [
+        lambda matcher, index: MatchService(matcher, index, jobs=1),
+        lambda matcher, index: ShardedMatchService(matcher, index, n_shards=2),
+    ], ids=["unsharded", "sharded"])
+    def test_trainable_composers_rejected(
+        self, word_model, small_benchmark, built_index, composition, build
+    ):
+        """The kernel scorer reads column stacks, which a trainable
+        composer's pair representation is not made of."""
+        labeled = small_benchmark.labeled_pairs(negative_ratio=1, rng=1)[:8]
+        matcher = DeepER(
+            word_model, small_benchmark.compare_columns,
+            composition=composition, max_tokens=4, rng=0,
+        ).fit([
+            (small_benchmark.record_a(a), small_benchmark.record_b(b), y)
+            for a, b, y in labeled
+        ], epochs=1)
+        with pytest.raises(ValueError, match=f"composition '{composition}'"):
+            build(matcher, built_index)
+
     def test_construction_puts_matcher_in_eval(self, service):
         assert not service.matcher.classifier.training
 
@@ -388,14 +409,11 @@ class TestScoreCacheCalls:
         assert score_calls() == sorted(("get_many", name) for name in tiers)
 
 
-def constant_scores(monkeypatch, matcher, value=0.5):
-    """Every pair scores ``value``, through either scorer."""
+def constant_scores(monkeypatch, value=0.5):
+    """Every pair the service scores gets ``value``."""
     monkeypatch.setattr(
         service_module, "score_pairs",
         lambda classifier, query_side, reference_side: np.full(len(query_side), value),
-    )
-    monkeypatch.setattr(
-        matcher, "predict_proba", lambda pairs: np.full(len(pairs), value)
     )
 
 
@@ -407,18 +425,16 @@ class TestTies:
     reliably.
     """
 
-    @pytest.mark.parametrize("scoring", ["kernel", "loop"])
-    @pytest.mark.parametrize("n_shards", [None, 1, 2, 4])
+    # Ids end in the scorer's name, ``kernel``.
+    @pytest.mark.parametrize("n_shards", [None, 1, 2, 4], ids="{}-kernel".format)
     def test_ties_break_to_the_smallest_id(
-        self, trained_matcher, built_index, query_records, monkeypatch,
-        n_shards, scoring,
+        self, trained_matcher, built_index, query_records, monkeypatch, n_shards,
     ):
-        constant_scores(monkeypatch, trained_matcher)
+        constant_scores(monkeypatch)
         # A small score tier evicts between batches, so the second batch
         # mixes fresh keys, fully cached keys and partly cached keys.
         service = serving(
-            trained_matcher, built_index, n_shards,
-            score_cache_size=40, scoring=scoring,
+            trained_matcher, built_index, n_shards, score_cache_size=40,
         )
         answers = []
         for batch in (query_records[:6], query_records[3:12], query_records[:12]):

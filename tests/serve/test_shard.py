@@ -5,7 +5,8 @@ for every shard count the sharded service must agree byte-for-byte with
 the unsharded :class:`MatchService` and with a direct offline
 ``predict_proba`` over the same candidates — including the degenerate
 batches (empty, duplicate tuple ids, a batch routed entirely to one
-shard) and the per-pair ``scoring="loop"`` reference.  An ownership class
+shard) and the serving loop reference
+(:func:`repro.kernels.reference.loop_match_batch`).  An ownership class
 pins that scoring takes each pair's shard from the consult stage and
 never re-hashes a tuple id.  A metrics class pins the home-shard routing
 contract:
@@ -19,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.kernels.reference import loop_match_batch
 from repro.obs.metrics import REGISTRY, collecting
 from repro.serve import shard as shard_module
 from repro.serve import (
@@ -131,20 +133,19 @@ class TestShardInvariance:
         self, n_shards, trained_matcher, built_index, query_records,
         baseline_answers,
     ):
-        """The per-pair ``scoring="loop"`` reference behind the router:
-        bit-equal to the unsharded loop service, and to the kernel."""
+        """Sharded serving is bit-equal to the serving loop reference (one
+        ``predict_proba`` call over the cold batch) and to the unsharded
+        service."""
         sharded = ShardedMatchService(
             trained_matcher, built_index, n_shards=n_shards, replicas=2,
-            scoring="loop",
         )
-        assert sharded.scoring == "loop"
         report = sharded.match_batch(query_records)
-        loop_report = MatchService(
-            trained_matcher, built_index, jobs=1, scoring="loop"
-        ).match_batch(query_records)
-        assert report.scored_pairs == loop_report.scored_pairs
+        loop_answers, loop_pairs = loop_match_batch(
+            trained_matcher, built_index, query_records
+        )
+        assert report.scored_pairs == loop_pairs
         answers = [a.to_dict() for a in report.answers]
-        assert answers == [a.to_dict() for a in loop_report.answers]
+        assert answers == loop_answers
         assert answers == baseline_answers
 
     def test_empty_batch(self, trained_matcher, built_index):
@@ -232,14 +233,14 @@ class TestConsultStageOwnership:
     gathers its reference side from, and caches its score on, that shard.
     ``shard_of_id`` runs only at construction, to partition the table."""
 
-    @pytest.mark.parametrize("scoring", ("kernel", "loop"))
+    # The id names the scorer, ``kernel``.
+    @pytest.mark.parametrize("n_shards", [4], ids=["kernel"])
     def test_match_batch_never_rehashes_reference_ids(
-        self, scoring, trained_matcher, built_index, query_records,
+        self, n_shards, trained_matcher, built_index, query_records,
         monkeypatch,
     ):
         sharded = ShardedMatchService(
-            trained_matcher, built_index, n_shards=4, replicas=2,
-            scoring=scoring,
+            trained_matcher, built_index, n_shards=n_shards, replicas=2,
         )
         calls: list[str] = []
 
