@@ -6,9 +6,9 @@ package is that interface — an async-shaped request/response gateway
 running entirely on the simulated clock, so every admission decision,
 scheduling choice and latency percentile is byte-reproducible:
 
-* :mod:`repro.gateway.api` — :class:`Gateway`, the request model and the
-  discrete-event loop (fault sites ``gateway.admit`` / ``gateway.route``
-  / ``gateway.dispatch``);
+* :mod:`repro.gateway.api` — :class:`Gateway`, the request model and its
+  policy on the serving layer's discrete-event core (fault sites
+  ``gateway.admit`` / ``gateway.route`` / ``gateway.dispatch``);
 * :mod:`repro.gateway.admission` — per-route token-bucket admission with
   deterministic shedding;
 * :mod:`repro.gateway.scheduler` — two-class priority (interactive over
@@ -20,7 +20,8 @@ scheduling choice and latency percentile is byte-reproducible:
   the online queue is hot;
 * :mod:`repro.gateway.routers` — match / clean / discover / health /
   metrics route handlers over existing read-only components;
-* :mod:`repro.gateway.workload` — seeded multi-tenant diurnal traffic.
+* :mod:`repro.gateway.workload` — seeded multi-tenant diurnal traffic,
+  drawn with :mod:`repro.serve.workload`'s arrival drawer.
 
 Gateway routing never changes *what* is answered — only *when*: answers
 stay differentially equal to the offline components, and BENCH_E19 pins

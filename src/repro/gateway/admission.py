@@ -48,7 +48,7 @@ class TokenBucket:
     """Continuous-refill token bucket on simulated time."""
 
     def __init__(self, rate: float, burst: int) -> None:
-        if rate <= 0:
+        if not rate > 0:
             raise ValueError(f"rate must be > 0, got {rate}")
         if burst < 1:
             raise ValueError(f"burst must be >= 1, got {burst}")

@@ -19,9 +19,11 @@ deadline)``; its life is
    for execution), occupying the single simulated server for the cost
    model's price.
 
-The event loop mirrors :func:`repro.serve.sim.simulate`: arrivals order
-before service events at equal timestamps, nothing reads wall clocks or
-ambient randomness, and the same requests + config replay the exact same
+:meth:`Gateway.run` is a policy for the discrete-event core that
+:func:`repro.serve.sim.simulate` runs too
+(:func:`repro.serve.clock.run_events`): arrivals order before service
+events at equal timestamps, nothing reads wall clocks or ambient
+randomness, and the same requests + config replay the exact same
 schedule — including which requests get shed and when the valve flips.
 
 **Routing never changes answers.**  Every answer is produced by the same
@@ -45,7 +47,7 @@ from repro.gateway.routers.metrics import MetricsRouter
 from repro.gateway.scheduler import CLASSES, make_scheduler
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.obs.trace import span
-from repro.serve.clock import SimClock
+from repro.serve.clock import RunReport, RunResult, SimClock, order_arrivals, run_events
 from repro.utils.content import digest_rows
 from repro.utils.stats import percentile
 
@@ -92,19 +94,21 @@ class GatewayRequest:
             raise ValueError(
                 f"priority must be one of {CLASSES}, got {self.priority!r}"
             )
-        if self.arrival < 0:
+        if not self.arrival >= 0:
             raise ValueError(f"arrival must be >= 0, got {self.arrival}")
-        if self.deadline < self.arrival:
+        if not self.deadline >= self.arrival:
             raise ValueError(
                 f"deadline must be >= arrival, got deadline={self.deadline} "
                 f"< arrival={self.arrival}"
             )
-        if self.cost_units <= 0:
+        if not self.cost_units > 0:
             raise ValueError(f"cost_units must be > 0, got {self.cost_units}")
+        if self.cost_units == math.inf:  # no DRR deficit ever affords it
+            raise ValueError(f"cost_units must be finite, got {self.cost_units}")
 
 
 @dataclass
-class RequestResult:
+class RequestResult(RunResult):
     """Terminal state of one request: completed with an answer, or shed."""
 
     request_id: int
@@ -118,13 +122,6 @@ class RequestResult:
     finish: float | None = None
     group_id: int | None = None
     answer: object | None = None
-
-    @property
-    def latency(self) -> float | None:
-        """Simulated arrival→completion latency; None for shed requests."""
-        if self.finish is None:
-            return None
-        return self.finish - self.arrival
 
     @property
     def deadline_met(self) -> bool | None:
@@ -150,7 +147,7 @@ class RouteCost:
     per_embed: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.base, self.per_request, self.per_work, self.per_embed) < 0:
+        if not all(term >= 0 for term in (self.base, self.per_request, self.per_work, self.per_embed)):
             raise ValueError("route cost terms must be >= 0")
 
 
@@ -195,7 +192,7 @@ class GatewayConfig:
             )
         if self.max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.quantum <= 0:
+        if not self.quantum > 0:
             raise ValueError(f"quantum must be > 0, got {self.quantum}")
 
     def make_valve(self) -> BackpressureValve | None:
@@ -205,31 +202,15 @@ class GatewayConfig:
 
 
 @dataclass
-class GatewayReport:
-    """Everything one gateway run produced, in deterministic order."""
+class GatewayReport(RunReport):
+    """Everything one gateway run produced, in deterministic order;
+    latencies narrow by the keywords ``route``, ``tenant`` and ``priority``."""
 
     policy: str
     results: "list[RequestResult]" = field(default_factory=list)
     groups: "list[dict]" = field(default_factory=list)
     duration: float = 0.0
     valve: dict | None = None
-
-    @property
-    def completed(self) -> "list[RequestResult]":
-        return [r for r in self.results if r.status == "ok"]
-
-    @property
-    def shed(self) -> "list[RequestResult]":
-        return [r for r in self.results if r.status == "shed"]
-
-    @property
-    def shed_rate(self) -> float:
-        return len(self.shed) / len(self.results) if self.results else 0.0
-
-    @property
-    def throughput(self) -> float:
-        """Completed requests per simulated second."""
-        return len(self.completed) / self.duration if self.duration > 0 else 0.0
 
     def _select(self, route=None, tenant=None, priority=None):
         return [
@@ -238,17 +219,6 @@ class GatewayReport:
             and (tenant is None or r.tenant == tenant)
             and (priority is None or r.priority == priority)
         ]
-
-    def latencies(self, *, route=None, tenant=None, priority=None) -> "list[float]":
-        """Matching completed-request latencies, sorted ascending."""
-        return sorted(r.latency for r in self._select(route, tenant, priority))
-
-    def latency_percentiles(
-        self, quantiles: tuple = (50, 95, 99), *,
-        route=None, tenant=None, priority=None,
-    ) -> "dict[int, float]":
-        ordered = self.latencies(route=route, tenant=tenant, priority=priority)
-        return {q: percentile(ordered, q) for q in quantiles}
 
     def deadline_hit_rate(self, *, route=None, tenant=None, priority=None) -> float:
         """Fraction of matching completed requests that met their deadline."""
@@ -350,9 +320,6 @@ class Gateway:
         self._valve: BackpressureValve | None = None
         self._results: "dict[int, RequestResult]" = {}
         self._groups: "list[dict]" = []
-        self._lat_by_route: "dict[str, list[float]]" = {}
-        self._lat_by_tenant: "dict[str, list[float]]" = {}
-        self._shed_by_route: "dict[str, int]" = {}
 
     @property
     def routes(self) -> "list[str]":
@@ -386,28 +353,28 @@ class Gateway:
 
     def metrics_snapshot(self) -> dict:
         """Per-route / per-tenant completions and latency percentiles so far."""
-        def stats(lat_map: "dict[str, list[float]]") -> "dict[str, dict]":
+        so_far = GatewayReport(self.config.policy, results=list(self._results.values()))
+
+        def stats(key: str) -> "dict[str, dict]":
             out = {}
-            for key in sorted(lat_map):
-                ordered = sorted(lat_map[key])
-                out[key] = {
-                    "completed": len(ordered),
-                    "p50_ms": round(percentile(ordered, 50) * 1e3, 6),
-                    "p95_ms": round(percentile(ordered, 95) * 1e3, 6),
-                    "p99_ms": round(percentile(ordered, 99) * 1e3, 6),
-                }
+            for value in sorted({getattr(r, key) for r in so_far.completed}):
+                ordered = so_far.latencies(**{key: value})
+                out[value] = {"completed": len(ordered)}
+                for q in (50, 95, 99):
+                    out[value][f"p{q}_ms"] = round(percentile(ordered, q) * 1e3, 6)
             return out
 
-        routes = stats(self._lat_by_route)
-        for route in sorted(self._shed_by_route):
+        shed = [r.route for r in so_far.shed]
+        routes = stats("route")
+        for route in sorted(set(shed)):
             routes.setdefault(route, {"completed": 0})
         for route in routes:
-            routes[route]["shed"] = self._shed_by_route.get(route, 0)
+            routes[route]["shed"] = shed.count(route)
         return {
-            "completed": sum(len(v) for v in self._lat_by_route.values()),
-            "shed": sum(self._shed_by_route.values()),
+            "completed": len(so_far.completed),
+            "shed": len(shed),
             "routes": routes,
-            "tenants": stats(self._lat_by_tenant),
+            "tenants": stats("tenant"),
         }
 
     # ------------------------------------------------------------------ #
@@ -422,12 +389,8 @@ class Gateway:
     ) -> GatewayReport:
         """Play ``requests`` through admission → scheduling → dispatch."""
         clock = clock or SimClock()
-        arrivals = sorted(requests, key=lambda r: (r.arrival, r.request_id))
-        seen_ids: "dict[int, bool]" = {}
+        arrivals = order_arrivals(requests, "request_id")
         for request in arrivals:
-            if request.request_id in seen_ids:
-                raise ValueError(f"duplicate request_id {request.request_id}")
-            seen_ids[request.request_id] = True
             if request.route not in self._routers:
                 raise ValueError(
                     f"request {request.request_id} targets unknown route "
@@ -445,15 +408,9 @@ class Gateway:
         self._valve = valve
         self._results = {}
         self._groups = []
-        self._lat_by_route = {}
-        self._lat_by_tenant = {}
-        self._shed_by_route = {}
         server_free = 0.0
-        index = 0
-        total = len(arrivals)
 
         def admit(request: GatewayRequest) -> None:
-            clock.advance_to(request.arrival)
             if _OBS.enabled:
                 _OBS.counter("gateway.requests").inc()
             decision = admission.decide(request.route, request.arrival)
@@ -469,53 +426,32 @@ class Gateway:
                     arrival=request.arrival,
                     deadline=request.deadline,
                 )
-                self._shed_by_route[request.route] = (
-                    self._shed_by_route.get(request.route, 0) + 1
-                )
             if valve is not None:
                 valve.observe(clock.now, scheduler.online_depth())
 
-        with span("gateway.run", requests=total, policy=self.config.policy) as run_span:
-            while index < total or scheduler.has_pending:
-                fire = max(server_free, clock.now)
-                # Arrivals at or before the earliest possible service
-                # event join (or shed) first — at equal timestamps,
-                # arrival events order before dispatch events, matching
-                # serve.sim's convention.
-                if index < total and arrivals[index].arrival <= fire:
-                    admit(arrivals[index])
-                    index += 1
-                    continue
-                if scheduler.has_pending:
-                    batch_ok = (
-                        valve.batch_allowed(fire, scheduler.online_depth())
-                        if valve is not None else True
-                    )
-                    if scheduler.has_dispatchable(batch_ok):
-                        clock.advance_to(fire)
-                        server_free = self._dispatch(
-                            fire, scheduler, valve, batch_ok, clock
-                        )
-                        continue
-                    # Only valve-blocked batch work remains runnable now.
-                    # A completed cooldown dwell is itself an event: wake
-                    # at it when no arrival comes first, otherwise the
-                    # loop would deadlock with an empty arrival stream.
-                    wake = valve.resume_time() if valve is not None else None
-                    if wake is not None and (
-                        index >= total or wake < arrivals[index].arrival
-                    ):
-                        clock.advance_to(max(wake, fire))
-                        continue
-                if index < total:
-                    admit(arrivals[index])
-                    index += 1
-                    continue
+        def next_service() -> float | None:
+            if not scheduler.has_pending:
+                return None
+            fire = max(server_free, clock.now)
+            if valve is None or not valve.paused or scheduler.has_dispatchable(False):
+                return fire
+            # Only valve-held batch work is pending: it runs once the
+            # cooldown dwell completes, if one is under way.
+            resume = valve.resume_time()
+            return max(resume, fire) if resume is not None else None
+
+        def serve(fire: float) -> float:
+            nonlocal server_free
+            server_free = self._dispatch(fire, scheduler, valve)
+            return server_free
+
+        with span("gateway.run", requests=len(arrivals), policy=self.config.policy) as run_span:
+            run_events(arrivals, clock, admit, next_service, serve)
+            if scheduler.has_pending:
                 raise RuntimeError(
                     "gateway stalled: batch work pending, valve paused with "
                     "no resume candidate, and no arrivals left"
                 )
-            clock.advance_to(max(server_free, clock.now))
             report = GatewayReport(
                 policy=self.config.policy,
                 results=[
@@ -548,7 +484,10 @@ class Gateway:
         """Pure route-table lookup (the ``gateway.route`` fault site)."""
         return self._routers[route]
 
-    def _dispatch(self, fire, scheduler, valve, batch_ok, clock) -> float:
+    def _dispatch(self, fire, scheduler, valve) -> float:
+        # batch_allowed resumes a due dwell, so it is asked only here,
+        # after every arrival up to ``fire`` was observed.
+        batch_ok = valve.batch_allowed(fire, scheduler.online_depth()) if valve is not None else True
         group = scheduler.next_group(self.config.max_batch_size, batch_ok)
         router = retry_call(
             self._resolve_router,
@@ -602,9 +541,6 @@ class Gateway:
                 group_id=group_id,
                 answer=answer,
             )
-            latency = finish - request.arrival
-            self._lat_by_route.setdefault(request.route, []).append(latency)
-            self._lat_by_tenant.setdefault(request.tenant, []).append(latency)
         if _OBS.enabled:
             _OBS.counter("gateway.groups").inc()
             _OBS.counter("gateway.dispatched").inc(float(len(group.requests)))

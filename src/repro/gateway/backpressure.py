@@ -40,7 +40,7 @@ class BackpressureValve:
                 f"low_water must be in [0, high_water), got {low_water} "
                 f"with high_water={high_water}"
             )
-        if cooldown < 0:
+        if not cooldown >= 0:
             raise ValueError(f"cooldown must be >= 0, got {cooldown}")
         self.high_water = int(high_water)
         self.low_water = int(low_water)
@@ -87,10 +87,10 @@ class BackpressureValve:
     def resume_time(self) -> float | None:
         """Earliest simulated time the dwell could complete, if any.
 
-        The gateway uses this as a wake-up event when only batch work is
-        pending: without it, a paused valve with an empty interactive
-        queue would deadlock the event loop (nothing dispatchable, no
-        arrival to advance the clock).
+        The gateway takes this as its next service time when only
+        valve-held batch work is pending: without it, a paused valve with
+        an empty interactive queue would stall the run (nothing
+        dispatchable, no arrival to advance the clock).
         """
         if self.paused and self._candidate_since is not None:
             return self._candidate_since + self.cooldown

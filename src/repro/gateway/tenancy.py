@@ -47,11 +47,11 @@ class DeficitRoundRobin:
     """DRR scheduler over per-tenant FIFO queues for one priority class."""
 
     def __init__(self, quantum: float = 4.0, weights: "dict[str, float] | None" = None) -> None:
-        if quantum <= 0:
+        if not quantum > 0:
             raise ValueError(f"quantum must be > 0, got {quantum}")
         self._weights = dict(weights or {})
         for tenant in sorted(self._weights):
-            if self._weights[tenant] <= 0:
+            if not self._weights[tenant] > 0:
                 raise ValueError(
                     f"tenant weight must be > 0, got {self._weights[tenant]} "
                     f"for {tenant!r}"

@@ -7,16 +7,19 @@ caching, admission control — entirely on a simulated clock, so every
 latency percentile and every load-shedding decision is bit-identical
 across runs, hosts and ``jobs`` settings:
 
-* :mod:`repro.serve.clock` — the monotonic simulated clock;
+* :mod:`repro.serve.clock` — the monotonic simulated clock, the one
+  discrete-event core and the report arithmetic that ``simulate`` and
+  :meth:`repro.gateway.Gateway.run` share;
 * :mod:`repro.serve.cache` — content-addressed LRU caches with
   hit/miss/eviction accounting;
 * :mod:`repro.serve.index` — build-once/probe-often LSH blocking index;
 * :mod:`repro.serve.service` — :class:`MatchService`, read-only
   inference and the one batch pipeline: scatter-gather index lookup and
   one coalesced scoring call per batch, unsharded as the one-shard case;
-* :mod:`repro.serve.workload` — seeded open-loop query generator;
+* :mod:`repro.serve.workload` — seeded open-loop query generator and
+  the arrival drawer the gateway's traffic uses too;
 * :mod:`repro.serve.sim` — the micro-batching/admission-control
-  event loop and its latency/throughput report;
+  policy on that core, and its latency/throughput report;
 * :mod:`repro.serve.shard` — :class:`ShardedMatchService`, the same
   pipeline over hash-partitioned shard replica groups (routing, failover
   and report hooks), byte-identical answers for any shard count.

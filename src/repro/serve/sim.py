@@ -1,7 +1,8 @@
 """Deterministic serving simulator: micro-batching + admission control.
 
-A single-server discrete-event loop on the :class:`~repro.serve.clock.
-SimClock`, shaped like a real inference server's request path:
+A single-server policy on the discrete-event core that the gateway
+shares (:func:`repro.serve.clock.run_events`), shaped like a real
+inference server's request path:
 
 * **admission control** — at most ``max_queue`` queries may wait; an
   arrival that finds the queue full is *shed* deterministically (an
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.obs.trace import span
-from repro.serve.clock import SimClock
+from repro.serve.clock import RunReport, RunResult, SimClock, order_arrivals, run_events
 from repro.serve.service import MatchAnswer, MatchService
 from repro.serve.workload import Query
 from repro.utils.stats import percentile
@@ -69,15 +70,15 @@ class ServerConfig:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.max_wait < 0:
+        if not self.max_wait >= 0:
             raise ValueError(f"max_wait must be >= 0, got {self.max_wait}")
-        if min(self.cost_base, self.cost_per_query, self.cost_per_miss,
-               self.cost_per_embed) < 0:
+        if not all(term >= 0 for term in (self.cost_base, self.cost_per_query,
+                                           self.cost_per_miss, self.cost_per_embed)):
             raise ValueError("cost model terms must be >= 0")
 
 
 @dataclass
-class QueryResult:
+class QueryResult(RunResult):
     """Terminal state of one query: completed with an answer, or shed."""
 
     query_id: int
@@ -88,48 +89,15 @@ class QueryResult:
     batch_id: int | None = None
     answer: MatchAnswer | None = None
 
-    @property
-    def latency(self) -> float | None:
-        """Simulated arrival→completion latency; None for shed queries."""
-        if self.finish is None:
-            return None
-        return self.finish - self.arrival
-
 
 @dataclass
-class SimReport:
+class SimReport(RunReport):
     """Everything one simulated run produced, in deterministic order."""
 
     config: ServerConfig
     results: list[QueryResult] = field(default_factory=list)
     batches: list[dict] = field(default_factory=list)
     duration: float = 0.0
-
-    @property
-    def completed(self) -> list[QueryResult]:
-        return [r for r in self.results if r.status == "ok"]
-
-    @property
-    def shed(self) -> list[QueryResult]:
-        return [r for r in self.results if r.status == "rejected"]
-
-    @property
-    def shed_rate(self) -> float:
-        return len(self.shed) / len(self.results) if self.results else 0.0
-
-    @property
-    def throughput(self) -> float:
-        """Completed queries per simulated second."""
-        return len(self.completed) / self.duration if self.duration > 0 else 0.0
-
-    def latencies(self) -> list[float]:
-        """Completed-query latencies sorted ascending."""
-        return sorted(r.latency for r in self.completed)
-
-    def latency_percentiles(self, quantiles: tuple[int, ...] = (50, 95, 99)) -> dict[int, float]:
-        """Nearest-rank percentiles of simulated latency (0.0 when empty)."""
-        ordered = self.latencies()
-        return {q: percentile(ordered, q) for q in quantiles}
 
     @property
     def mean_batch_size(self) -> float:
@@ -162,21 +130,18 @@ def simulate(
 
     ``service`` only needs a ``match_batch(records) -> BatchReport``
     method, so scheduler tests can drive the loop with a stub.  Results
-    come back ordered by ``query_id`` regardless of completion order.
+    come back ordered by ``query_id`` regardless of completion order; a
+    repeated ``query_id`` is a ``ValueError``.
     """
     clock = clock or SimClock()
-    arrivals = sorted(queries, key=lambda q: (q.arrival, q.query_id))
+    arrivals = order_arrivals(queries, "query_id")
     pending: list[Query] = []
     results: dict[int, QueryResult] = {}
     batches: list[dict] = []
     server_free_at = 0.0
-    last_finish = 0.0
     shard_free: dict[int, float] = {}
-    index = 0
-    total = len(arrivals)
 
     def admit(query: Query) -> None:
-        clock.advance_to(query.arrival)
         if len(pending) >= config.max_queue:
             results[query.query_id] = QueryResult(
                 query_id=query.query_id, status="rejected", arrival=query.arrival
@@ -186,96 +151,87 @@ def simulate(
         else:
             pending.append(query)
 
-    with span("serve.sim", queries=total) as sim_span:
-        while index < total or pending:
-            if not pending:
-                admit(arrivals[index])
-                index += 1
-                continue
-            # When would the current batch fire?  At batch-full time or the
-            # oldest query's deadline — whichever first — but never while
-            # the server is still busy with the previous batch.
-            full_time = (
-                pending[config.max_batch_size - 1].arrival
-                if len(pending) >= config.max_batch_size
-                else math.inf
+    def next_service() -> float | None:
+        # The waiting batch fires at batch-full time or the oldest
+        # query's deadline — whichever first — but never while the
+        # server is still busy with the previous batch.
+        if not pending:
+            return None
+        full_time = (
+            pending[config.max_batch_size - 1].arrival
+            if len(pending) >= config.max_batch_size
+            else math.inf
+        )
+        return max(min(pending[0].arrival + config.max_wait, full_time), server_free_at)
+
+    def serve(fire: float) -> float:
+        nonlocal server_free_at
+        batch = pending[: config.max_batch_size]
+        del pending[: config.max_batch_size]
+        report = service.match_batch([q.record for q in batch])
+        shard_works = tuple(getattr(report, "shards", ()) or ())
+        batch_extra: dict = {}
+        if shard_works:
+            # Scatter-gather: the router serializes the scatter, each
+            # shard works its own queue, the gather completes at the
+            # max of the shard finish times (straggler-bound).  The
+            # router is free again once the scatter is dispatched, so
+            # later batches pipeline into idle shard queues.
+            scatter = config.cost_base + config.cost_per_query * len(batch)
+            dispatch = fire + scatter
+            shard_costs = []
+            finish = dispatch
+            for work in shard_works:
+                shard_cost = (
+                    config.cost_per_miss * work.scored_pairs
+                    + config.cost_per_embed * work.embedding_misses
+                )
+                shard_costs.append(shard_cost)
+                done = max(dispatch, shard_free.get(work.shard, 0.0)) + shard_cost
+                shard_free[work.shard] = done
+                finish = max(finish, done)
+            server_free_at = dispatch
+            mean_cost = sum(shard_costs) / len(shard_costs)
+            cost = finish - fire
+            batch_extra = {
+                "shards": len(shard_works),
+                "straggler": finish - dispatch - mean_cost,
+            }
+        else:
+            cost = (
+                config.cost_base
+                + config.cost_per_query * len(batch)
+                + config.cost_per_miss * report.scored_pairs
+                + config.cost_per_embed * report.embedding_misses
             )
-            fire = max(min(pending[0].arrival + config.max_wait, full_time),
-                       server_free_at)
-            # Arrivals up to and including the fire instant join (or shed)
-            # first: at equal timestamps, arrival events order before
-            # service events, so simultaneous queries coalesce.
-            if index < total and arrivals[index].arrival <= fire:
-                admit(arrivals[index])
-                index += 1
-                continue
-            clock.advance_to(fire)
-            batch = pending[: config.max_batch_size]
-            del pending[: config.max_batch_size]
-            report = service.match_batch([q.record for q in batch])
-            shard_works = tuple(getattr(report, "shards", ()) or ())
-            batch_extra: dict = {}
-            if shard_works:
-                # Scatter-gather: the router serializes the scatter, each
-                # shard works its own queue, the gather completes at the
-                # max of the shard finish times (straggler-bound).  The
-                # router is free again once the scatter is dispatched, so
-                # later batches pipeline into idle shard queues.
-                scatter = config.cost_base + config.cost_per_query * len(batch)
-                dispatch = fire + scatter
-                shard_costs = []
-                finish = dispatch
-                for work in shard_works:
-                    shard_cost = (
-                        config.cost_per_miss * work.scored_pairs
-                        + config.cost_per_embed * work.embedding_misses
-                    )
-                    shard_costs.append(shard_cost)
-                    done = max(dispatch, shard_free.get(work.shard, 0.0)) + shard_cost
-                    shard_free[work.shard] = done
-                    finish = max(finish, done)
-                server_free_at = dispatch
-                mean_cost = sum(shard_costs) / len(shard_costs)
-                cost = finish - fire
-                batch_extra = {
-                    "shards": len(shard_works),
-                    "straggler": finish - dispatch - mean_cost,
-                }
-            else:
-                cost = (
-                    config.cost_base
-                    + config.cost_per_query * len(batch)
-                    + config.cost_per_miss * report.scored_pairs
-                    + config.cost_per_embed * report.embedding_misses
-                )
-                finish = fire + cost
-                server_free_at = finish
-            last_finish = max(last_finish, finish)
-            batch_id = len(batches)
-            batches.append({
-                "batch_id": batch_id,
-                "fire": fire,
-                "finish": finish,
-                "size": len(batch),
-                "scored_pairs": report.scored_pairs,
-                "embedding_misses": report.embedding_misses,
-                "predict_calls": report.predict_calls,
-                "cost": cost,
-                **batch_extra,
-            })
-            for query, answer in zip(batch, report.answers):
-                results[query.query_id] = QueryResult(
-                    query_id=query.query_id,
-                    status="ok",
-                    arrival=query.arrival,
-                    start=fire,
-                    finish=finish,
-                    batch_id=batch_id,
-                    answer=answer,
-                )
-        # Unsharded, the server frees exactly when the last batch finishes;
-        # sharded, the router may free before the slowest shard drains.
-        clock.advance_to(max(server_free_at, last_finish))
+            finish = fire + cost
+            server_free_at = finish
+        batch_id = len(batches)
+        batches.append({
+            "batch_id": batch_id,
+            "fire": fire,
+            "finish": finish,
+            "size": len(batch),
+            "scored_pairs": report.scored_pairs,
+            "embedding_misses": report.embedding_misses,
+            "predict_calls": report.predict_calls,
+            "cost": cost,
+            **batch_extra,
+        })
+        for query, answer in zip(batch, report.answers):
+            results[query.query_id] = QueryResult(
+                query_id=query.query_id,
+                status="ok",
+                arrival=query.arrival,
+                start=fire,
+                finish=finish,
+                batch_id=batch_id,
+                answer=answer,
+            )
+        return finish
+
+    with span("serve.sim", queries=len(arrivals)) as sim_span:
+        run_events(arrivals, clock, admit, next_service, serve)
         sim_report = SimReport(
             config=config,
             results=[results[q.query_id] for q in sorted(queries, key=lambda q: q.query_id)],

@@ -10,7 +10,9 @@ something to hit.
 
 Everything is drawn from one ``np.random.Generator`` seeded from
 ``SeedSequence([0x5E17E, seed])``: same seed → byte-identical workload,
-across runs and processes.
+across runs and processes.  :func:`draw_arrivals` and
+:func:`draw_repeats` are the one arrival drawer and repeat draw, shared
+with the gateway's traffic generator (:mod:`repro.gateway.workload`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Query", "WorkloadConfig", "generate_workload"]
+__all__ = ["Query", "WorkloadConfig", "draw_arrivals", "draw_repeats", "generate_workload"]
 
 _WORKLOAD_SALT = 0x5E17E  # "SErVE", keeps workload rng disjoint from model rngs
 
@@ -31,6 +33,10 @@ class Query:
     query_id: int
     arrival: float
     record: dict[str, object] = field(compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.arrival >= 0:
+            raise ValueError(f"arrival must be >= 0, got {self.arrival}")
 
 
 @dataclass(frozen=True)
@@ -50,12 +56,57 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if self.n_queries < 1:
             raise ValueError(f"n_queries must be >= 1, got {self.n_queries}")
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
         if not 0.0 <= self.repeat_fraction <= 1.0:
             raise ValueError(
                 f"repeat_fraction must be in [0, 1], got {self.repeat_fraction}"
             )
+
+
+def draw_arrivals(rng, n: int, rate: float, start: float = 0.0, phases: tuple = ()) -> "list[float]":
+    """``n`` open-loop Poisson arrival times after ``start``.
+
+    With ``phases`` (a cycle of ``(duration, multiplier)`` segments),
+    unit-rate exponential budgets are spent through the piecewise-constant
+    rate curve — the time-change construction, exact and deterministic.
+    """
+    times: "list[float]" = []
+    t = start
+    if not phases:
+        for gap in rng.exponential(1.0 / rate, size=n):
+            t += float(gap)
+            times.append(t)
+        return times
+    phase_index = 0
+    phase_left = float(phases[0][0])
+    for _ in range(n):
+        budget = float(rng.exponential(1.0))
+        while True:
+            local_rate = rate * phases[phase_index][1]
+            needed = budget / local_rate
+            if needed <= phase_left:
+                t += needed
+                phase_left -= needed
+                break
+            budget -= phase_left * local_rate
+            t += phase_left
+            phase_index = (phase_index + 1) % len(phases)
+            phase_left = float(phases[phase_index][0])
+        times.append(t)
+    return times
+
+
+def draw_repeats(rng, n: int, pool: int, repeat_fraction: float) -> "list[int]":
+    """``n`` uniform indices into ``range(pool)``; each after the first
+    re-issues an earlier draw with probability ``repeat_fraction``."""
+    issued: "list[int]" = []
+    for _ in range(n):
+        if issued and rng.random() < repeat_fraction:
+            issued.append(issued[int(rng.integers(len(issued)))])
+        else:
+            issued.append(int(rng.integers(pool)))
+    return issued
 
 
 def generate_workload(
@@ -64,7 +115,7 @@ def generate_workload(
     """Draw an open-loop arrival sequence over ``records``.
 
     Returns queries ordered by arrival time (ties impossible: exponential
-    gaps are strictly positive almost surely, and cumulative sums keep
+    gaps are strictly positive almost surely, and running sums keep
     float order).  The record *objects* are shared, not copied — the
     serving layer treats them as read-only.
     """
@@ -73,17 +124,6 @@ def generate_workload(
     rng = np.random.default_rng(
         np.random.SeedSequence([_WORKLOAD_SALT, int(config.seed)])
     )
-    gaps = rng.exponential(1.0 / config.rate, size=config.n_queries)
-    arrivals = np.cumsum(gaps)
-    issued: list[int] = []
-    queries: list[Query] = []
-    for k in range(config.n_queries):
-        if issued and rng.random() < config.repeat_fraction:
-            index = issued[int(rng.integers(len(issued)))]
-        else:
-            index = int(rng.integers(len(records)))
-        issued.append(index)
-        queries.append(
-            Query(query_id=k, arrival=float(arrivals[k]), record=records[index])
-        )
-    return queries
+    arrivals = draw_arrivals(rng, config.n_queries, config.rate)
+    picks = draw_repeats(rng, config.n_queries, len(records), config.repeat_fraction)
+    return [Query(query_id=k, arrival=arrivals[k], record=records[i]) for k, i in enumerate(picks)]

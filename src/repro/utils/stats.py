@@ -1,10 +1,9 @@
 """Deterministic order statistics shared by the serving and gateway layers.
 
 :func:`percentile` is the single nearest-rank implementation behind
-``SimReport.latency_percentiles`` (:mod:`repro.serve.sim`) and the
-gateway's per-route/per-tenant SLO rows (:mod:`repro.gateway`).  It lives
-in :mod:`repro.utils` so the gateway does not need to import the serving
-simulator (or copy the arithmetic) to report latency percentiles.
+``RunReport.latency_percentiles`` (:mod:`repro.serve.clock`, shared by
+the simulator's and the gateway's reports) and the gateway's
+per-route/per-tenant metrics snapshot (:mod:`repro.gateway`).
 """
 
 from __future__ import annotations

@@ -7,11 +7,14 @@ import math
 import pytest
 
 from repro.gateway import (
+    BackpressureValve,
+    DeficitRoundRobin,
     Gateway,
     GatewayConfig,
     GatewayRequest,
     MatchRouter,
     RouteCost,
+    TokenBucket,
 )
 from repro.loop import ModelRegistry
 from repro.serve import MatchService
@@ -257,3 +260,45 @@ class TestValidationMessages:
     def test_default_deadline_is_open(self):
         request = GatewayRequest(request_id=0, tenant="t", route="match")
         assert request.deadline == math.inf
+
+
+class TestNaNInputs:
+    def test_nan_arrival_is_rejected(self):
+        with pytest.raises(ValueError, match=r"arrival must be >= 0, got nan"):
+            GatewayRequest(request_id=0, tenant="t", route="match", arrival=math.nan)
+
+    def test_nan_deadline_is_rejected(self):
+        with pytest.raises(ValueError, match=r"deadline must be >= arrival, got deadline=nan"):
+            GatewayRequest(request_id=0, tenant="t", route="match", deadline=math.nan)
+
+    def test_nan_cost_units_is_rejected(self):
+        with pytest.raises(ValueError, match=r"cost_units must be > 0, got nan"):
+            GatewayRequest(request_id=0, tenant="t", route="match", cost_units=math.nan)
+
+    def test_infinite_cost_units_is_rejected(self):
+        # Deficit round robin would rotate forever waiting to afford it.
+        with pytest.raises(ValueError, match=r"cost_units must be finite, got inf"):
+            GatewayRequest(request_id=0, tenant="t", route="match", cost_units=math.inf)
+
+    def test_nan_quantum_is_rejected(self):
+        with pytest.raises(ValueError, match=r"quantum must be > 0, got nan"):
+            GatewayConfig(quantum=math.nan)
+        with pytest.raises(ValueError, match=r"quantum must be > 0, got nan"):
+            DeficitRoundRobin(quantum=math.nan)
+
+    def test_nan_tenant_weight_is_rejected(self):
+        with pytest.raises(ValueError, match=r"tenant weight must be > 0, got nan"):
+            DeficitRoundRobin(weights={"t": math.nan})
+
+    @pytest.mark.parametrize("term", ["base", "per_request", "per_work", "per_embed"])
+    def test_nan_route_cost_is_rejected(self, term):
+        with pytest.raises(ValueError, match=r"route cost terms must be >= 0"):
+            RouteCost(**{term: math.nan})
+
+    def test_nan_bucket_rate_is_rejected(self):
+        with pytest.raises(ValueError, match=r"rate must be > 0, got nan"):
+            TokenBucket(math.nan, 2)
+
+    def test_nan_valve_cooldown_is_rejected(self):
+        with pytest.raises(ValueError, match=r"cooldown must be >= 0, got nan"):
+            BackpressureValve(2, 0, math.nan)

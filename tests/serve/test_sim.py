@@ -236,3 +236,23 @@ class TestPercentilePromotion:
         assert repro.serve.percentile is utils_percentile
         assert repro.serve.sim.percentile is utils_percentile
         assert repro.utils.percentile is utils_percentile
+
+
+class TestDuplicateQueryIds:
+    def test_shared_query_id_is_rejected(self):
+        # Results are keyed by query_id: two queries sharing one would
+        # lose the first answer and count the second twice.
+        queries = [Query(0, 0.0, {"q": "a"}), Query(0, 1.0, {"q": "b"})]
+        with pytest.raises(ValueError, match=r"duplicate query_id 0"):
+            simulate(StubService(), queries, ServerConfig(max_batch_size=1, max_wait=0.0))
+
+
+class TestNaNConfig:
+    def test_nan_max_wait_is_rejected(self):
+        with pytest.raises(ValueError, match=r"max_wait must be >= 0, got nan"):
+            ServerConfig(max_wait=float("nan"))
+
+    @pytest.mark.parametrize("term", ["cost_base", "cost_per_query", "cost_per_miss", "cost_per_embed"])
+    def test_nan_cost_term_is_rejected(self, term):
+        with pytest.raises(ValueError, match=r"cost model terms must be >= 0"):
+            ServerConfig(**{term: float("nan")})

@@ -104,3 +104,17 @@ class TestSaltIsolation:
         )
         plain = np.random.default_rng(0).exponential(0.1, size=10)
         assert not np.allclose([q.arrival for q in queries], np.cumsum(plain))
+
+
+class TestArrivalAndRateChecks:
+    def test_nan_arrival_is_rejected(self):
+        with pytest.raises(ValueError, match=r"arrival must be >= 0, got nan"):
+            Query(query_id=0, arrival=float("nan"), record={})
+
+    def test_negative_arrival_is_rejected(self):
+        with pytest.raises(ValueError, match=r"arrival must be >= 0, got -1.0"):
+            Query(query_id=0, arrival=-1.0, record={})
+
+    def test_nan_rate_is_rejected(self):
+        with pytest.raises(ValueError, match=r"rate must be > 0, got nan"):
+            WorkloadConfig(n_queries=5, rate=float("nan"))
