@@ -3,7 +3,8 @@
 Unlike the experiment benches (single pedantic rounds around whole
 experiments), these let pytest-benchmark do proper multi-round timing of
 the primitives everything else is built on: autograd forward+backward,
-LSTM steps, SGNS epochs, LSH signatures, and pair featurisation.
+LSTM steps, SGNS epochs and per-row updates, LSH signatures, and pair
+featurisation.
 
 The ``pair scoring`` rows are the before/after pair for the
 :mod:`repro.kernels` rewrite: the same DeepER featurisation over the
@@ -105,6 +106,25 @@ def test_micro_sgns_epoch(benchmark, rng):
 
     benchmark(run)
     assert len(model.vocabulary) == 100
+
+
+@pytest.mark.parametrize("n_rows", [64, 320])
+def test_micro_sgns_scaled_update(benchmark, n_rows):
+    """One SGNS per-row averaged update at wallbench's set-up shapes.
+
+    A 922 x 40 matrix, as ``wallbench``'s word vectors; 64 rows is a batch
+    of centers or positive contexts, 320 its 5 negatives per pair, drawn
+    from a unigram^0.75-like table so hot rows repeat.
+    """
+    gen = np.random.default_rng(26)
+    weights = 1.0 / np.arange(1, 923) ** 0.75
+    rows = gen.choice(922, size=n_rows, p=weights / weights.sum())
+    grads = gen.normal(0.0, 0.01, size=(n_rows, 40))
+    matrix = (gen.random((922, 40)) - 0.5) / 40
+    model = SkipGram(dim=40)
+
+    benchmark(model._scaled_update, matrix, rows, grads, 0.05)
+    assert np.isfinite(matrix).all()
 
 
 def test_micro_lsh_candidates(benchmark, rng):

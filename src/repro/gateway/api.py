@@ -50,6 +50,7 @@ from repro.obs.trace import span
 from repro.serve.clock import RunReport, RunResult, SimClock, order_arrivals, run_events
 from repro.utils.content import digest_rows
 from repro.utils.stats import percentile
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "DEFAULT_ROUTE_COSTS",
@@ -96,6 +97,8 @@ class GatewayRequest:
             )
         if not self.arrival >= 0:
             raise ValueError(f"arrival must be >= 0, got {self.arrival}")
+        if self.arrival == math.inf:  # the run's duration would be inf
+            raise ValueError(f"arrival must be finite, got {self.arrival}")
         if not self.deadline >= self.arrival:
             raise ValueError(
                 f"deadline must be >= arrival, got deadline={self.deadline} "
@@ -190,8 +193,7 @@ class GatewayConfig:
             raise ValueError(
                 f"policy must be 'priority' or 'fifo', got {self.policy!r}"
             )
-        if self.max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
+        check_positive_int("max_batch_size", self.max_batch_size)
         if not self.quantum > 0:
             raise ValueError(f"quantum must be > 0, got {self.quantum}")
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.gateway.api import GatewayRequest
 from repro.serve.workload import draw_arrivals, draw_repeats
+from repro.utils.validation import check_positive_int
 
 __all__ = ["RequestStream", "generate_requests"]
 
@@ -58,8 +59,7 @@ class RequestStream:
     payloads: tuple = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
-        if self.n_requests < 1:
-            raise ValueError(f"n_requests must be >= 1, got {self.n_requests}")
+        check_positive_int("n_requests", self.n_requests)
         if not self.rate > 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
         if not self.start >= 0:

@@ -45,6 +45,7 @@ from repro.serve.clock import RunReport, RunResult, SimClock, order_arrivals, ru
 from repro.serve.service import MatchAnswer, MatchService
 from repro.serve.workload import Query
 from repro.utils.stats import percentile
+from repro.utils.validation import check_positive_int
 
 __all__ = ["QueryResult", "ServerConfig", "SimReport", "percentile", "simulate"]
 
@@ -66,10 +67,8 @@ class ServerConfig:
     cost_per_embed: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
+        check_positive_int("max_batch_size", self.max_batch_size)
+        check_positive_int("max_queue", self.max_queue)
         if not self.max_wait >= 0:
             raise ValueError(f"max_wait must be >= 0, got {self.max_wait}")
         if not all(term >= 0 for term in (self.cost_base, self.cost_per_query,

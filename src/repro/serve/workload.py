@@ -17,9 +17,12 @@ with the gateway's traffic generator (:mod:`repro.gateway.workload`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.utils.validation import check_positive_int
 
 __all__ = ["Query", "WorkloadConfig", "draw_arrivals", "draw_repeats", "generate_workload"]
 
@@ -37,6 +40,8 @@ class Query:
     def __post_init__(self) -> None:
         if not self.arrival >= 0:
             raise ValueError(f"arrival must be >= 0, got {self.arrival}")
+        if self.arrival == math.inf:  # the run's duration would be inf
+            raise ValueError(f"arrival must be finite, got {self.arrival}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,7 @@ class WorkloadConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_queries < 1:
-            raise ValueError(f"n_queries must be >= 1, got {self.n_queries}")
+        check_positive_int("n_queries", self.n_queries)
         if not self.rate > 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
         if not 0.0 <= self.repeat_fraction <= 1.0:

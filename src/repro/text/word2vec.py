@@ -17,12 +17,14 @@ import numpy as np
 
 from repro.text.vocab import Vocabulary
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_fitted, check_positive
+from repro.utils.validation import check_fitted, check_positive, check_positive_int
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.clip(x, -50, 50))),
-                    np.exp(np.clip(x, -50, 50)) / (1.0 + np.exp(np.clip(x, -50, 50))))
+    # exp(-|x|) is exp(-x) on the x >= 0 lanes and exp(x) on the others:
+    # one exp serves both branches and never overflows.
+    e = np.exp(-np.abs(np.clip(x, -50, 50)))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class SkipGram:
@@ -56,10 +58,11 @@ class SkipGram:
         subsample: float = 0.0,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        check_positive("dim", dim)
-        check_positive("window", window)
-        check_positive("negatives", negatives)
-        check_positive("epochs", epochs)
+        check_positive_int("dim", dim)
+        check_positive_int("window", window)
+        check_positive_int("negatives", negatives)
+        check_positive_int("epochs", epochs)
+        check_positive_int("batch_size", batch_size)
         check_positive("learning_rate", learning_rate)
         self.dim = dim
         self.window = window
@@ -181,10 +184,17 @@ class SkipGram:
     def _scaled_update(
         self, matrix: np.ndarray, rows: np.ndarray, grads: np.ndarray, lr: float
     ) -> None:
-        unique, inverse, counts = np.unique(rows, return_inverse=True, return_counts=True)
-        accumulator = np.zeros((unique.size, matrix.shape[1]))
-        np.add.at(accumulator, inverse, grads)
-        matrix[unique] += lr * accumulator / counts[:, None]
+        # Sum each distinct row's gradients in input order: bincount adds
+        # every weight to a 0.0-initialised bin one by one, the same IEEE
+        # additions np.add.at makes, so the update is exact, not just close.
+        counts = np.bincount(rows)
+        unique = np.flatnonzero(counts)
+        slot = np.empty(counts.size, dtype=np.intp)
+        slot[unique] = np.arange(unique.size)
+        dim = matrix.shape[1]
+        cells = (slot[rows] * dim)[:, None] + np.arange(dim)
+        sums = np.bincount(cells.ravel(), weights=grads.ravel()).reshape(unique.size, dim)
+        matrix[unique] += lr * sums / counts[unique, None]
 
     # ------------------------------------------------------------------ #
     # queries

@@ -8,6 +8,7 @@ from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_fitted,
     check_positive,
+    check_positive_int,
     check_probability,
     check_same_length,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "Timer",
     "check_fitted",
     "check_positive",
+    "check_positive_int",
     "check_probability",
     "check_same_length",
 ]

@@ -6,15 +6,32 @@ shape errors deep inside a training loop.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Any, Sized
 
 
 def check_positive(name: str, value: float, strict: bool = True) -> None:
-    """Raise ``ValueError`` unless ``value`` is positive (or >= 0 if not strict)."""
-    if strict and value <= 0:
+    """Raise ``ValueError`` unless ``value`` is positive (or >= 0 if not strict).
+
+    Written as ``not value > 0`` so that NaN, which compares false both
+    ways, fails the check instead of slipping through.
+    """
+    if strict and not value > 0:
         raise ValueError(f"{name} must be > 0, got {value}")
-    if not strict and value < 0:
+    if not strict and not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def check_positive_int(name: str, value: Any) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer >= 1.
+
+    Python and numpy integers pass; ``bool``, floats (``2.0`` and NaN
+    included) and anything else do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def check_probability(name: str, value: float) -> None:

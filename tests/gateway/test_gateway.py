@@ -243,6 +243,11 @@ class TestValidationMessages:
         with pytest.raises(ValueError, match=r"cost_units must be > 0, got 0"):
             GatewayRequest(request_id=0, tenant="t", route="match", cost_units=0)
 
+    def test_infinite_arrival_is_rejected(self):
+        # An inf arrival made the run's duration inf and its p95/p99 nan.
+        with pytest.raises(ValueError, match=r"arrival must be finite, got inf"):
+            GatewayRequest(request_id=0, tenant="t", route="match", arrival=math.inf)
+
     def test_config_messages(self):
         with pytest.raises(
             ValueError, match=r"policy must be 'priority' or 'fifo', got 'lifo'"
@@ -252,6 +257,12 @@ class TestValidationMessages:
             GatewayConfig(max_batch_size=0)
         with pytest.raises(ValueError, match=r"quantum must be > 0, got 0"):
             GatewayConfig(quantum=0)
+
+    def test_config_max_batch_size_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"max_batch_size must be an integer, got nan"):
+            GatewayConfig(max_batch_size=math.nan)
+        with pytest.raises(ValueError, match=r"max_batch_size must be an integer, got 2.5"):
+            GatewayConfig(max_batch_size=2.5)
 
     def test_route_cost_message(self):
         with pytest.raises(ValueError, match=r"route cost terms must be >= 0"):

@@ -33,6 +33,14 @@ class TestNaNStreamFields:
         with pytest.raises(ValueError, match=r"phases need positive"):
             stream(phases=((0.5, math.nan),))
 
+    def test_n_requests_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"n_requests must be an integer, got nan"):
+            stream(n_requests=math.nan)
+        with pytest.raises(ValueError, match=r"n_requests must be an integer, got 2.5"):
+            stream(n_requests=2.5)
+        with pytest.raises(ValueError, match=r"n_requests must be >= 1, got 0"):
+            stream(n_requests=0)
+
 
 class TestSharedDrawer:
     def test_flat_stream_arrivals_are_running_sums_of_exponential_gaps(self):

@@ -71,6 +71,19 @@ class TestServerConfig:
         with pytest.raises(ValueError, match=r"cost model terms must be >= 0"):
             ServerConfig(cost_per_embed=-1e-6)
 
+    def test_max_batch_size_must_be_an_integer(self):
+        # NaN once built a config and then failed mid-run slicing the queue.
+        with pytest.raises(ValueError, match=r"max_batch_size must be an integer, got nan"):
+            ServerConfig(max_batch_size=float("nan"))
+        with pytest.raises(ValueError, match=r"max_batch_size must be an integer, got 2.5"):
+            ServerConfig(max_batch_size=2.5)
+
+    def test_max_queue_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"max_queue must be an integer, got nan"):
+            ServerConfig(max_queue=float("nan"))
+        with pytest.raises(ValueError, match=r"max_queue must be an integer, got 2.5"):
+            ServerConfig(max_queue=2.5)
+
 
 class TestBatching:
     def test_full_batch_fires_before_deadline(self):

@@ -115,6 +115,16 @@ class TestArrivalAndRateChecks:
         with pytest.raises(ValueError, match=r"arrival must be >= 0, got -1.0"):
             Query(query_id=0, arrival=-1.0, record={})
 
+    def test_infinite_arrival_is_rejected(self):
+        with pytest.raises(ValueError, match=r"arrival must be finite, got inf"):
+            Query(query_id=0, arrival=float("inf"), record={})
+
+    def test_n_queries_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"n_queries must be an integer, got nan"):
+            WorkloadConfig(n_queries=float("nan"), rate=10.0)
+        with pytest.raises(ValueError, match=r"n_queries must be an integer, got 2.5"):
+            WorkloadConfig(n_queries=2.5, rate=10.0)
+
     def test_nan_rate_is_rejected(self):
         with pytest.raises(ValueError, match=r"rate must be > 0, got nan"):
             WorkloadConfig(n_queries=5, rate=float("nan"))

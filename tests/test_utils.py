@@ -12,6 +12,7 @@ from repro.utils import (
     Timer,
     check_fitted,
     check_positive,
+    check_positive_int,
     check_probability,
     check_same_length,
     ensure_rng,
@@ -64,6 +65,23 @@ class TestValidation:
         check_positive("x", 0.0, strict=False)
         with pytest.raises(ValueError):
             check_positive("x", -1.0, strict=False)
+
+    def test_check_positive_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"x must be > 0, got nan"):
+            check_positive("x", float("nan"))
+        with pytest.raises(ValueError, match=r"x must be >= 0, got nan"):
+            check_positive("x", float("nan"), strict=False)
+
+    def test_check_positive_int(self):
+        check_positive_int("n", 1)
+        check_positive_int("n", np.int32(7))
+        with pytest.raises(ValueError, match=r"n must be >= 1, got 0"):
+            check_positive_int("n", 0)
+        with pytest.raises(ValueError, match=r"n must be >= 1, got -3"):
+            check_positive_int("n", np.int64(-3))
+        for value in (2.5, 2.0, float("nan"), True, "3", None):
+            with pytest.raises(ValueError, match=r"n must be an integer, got "):
+                check_positive_int("n", value)
 
     def test_check_probability(self):
         check_probability("p", 0.5)
