@@ -27,6 +27,12 @@ vocabulary of ~1,000 tokens, the size at which a per-record cost that
 grows with the vocabulary shows: once as two calls (``embed`` +
 ``embed_columns``) and once as the one token pass that makes both.
 
+The ``token pass`` rows time one batched token pass
+(``TupleEmbedder.embed_many_with_columns``, SIF with subword back-off)
+over the same 96 records in batches of 1, 4 and 16 records, the
+shapes serving embeds, each beside the frozen per-record reference
+(``tests/embeddings/reference_token_pass.py``) over the same batches.
+
 The ``fd repair`` row times minimal FD repair of one 2,000-row slice
 shaped like the gateway's ``clean`` requests: one FD, ~15 % of rows
 disagreeing with their group's majority.
@@ -51,7 +57,9 @@ from repro.kernels import PairSide, pair_feature_matrix, quantize
 from repro.kernels.reference import _pair_feature_row
 from repro.nn import Adam, LSTM, Tensor, bce_with_logits, mlp
 from repro.serve.cache import LRUCache, content_key
-from repro.text import SkipGram
+from repro.text import SkipGram, SubwordEmbeddings
+
+from tests.embeddings import reference_token_pass
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +347,49 @@ def test_micro_sif_embed_fused(benchmark, sif_setup):
     for record, (vector, columns) in zip(records, embedded):
         assert np.array_equal(vector, embedder.embed(record))
         assert np.array_equal(columns, embedder.embed_columns(record))
+
+
+@pytest.fixture(scope="module")
+def pass_setup(sif_setup):
+    """``sif_setup``'s model and records with subword back-off."""
+    embedder, records = sif_setup
+    subword = SubwordEmbeddings(embedder.model)
+    backed_off = TupleEmbedder(
+        embedder.model, embedder.columns, method="sif", vector_fn=subword.vector
+    )
+    return backed_off, records[:96]
+
+
+@pytest.mark.parametrize("size", [1, 4, 16])
+def test_micro_token_pass(benchmark, pass_setup, size):
+    """96 records, one pass per ``size``-record batch (÷96 per record)."""
+    embedder, records = pass_setup
+    batches = [records[i:i + size] for i in range(0, len(records), size)]
+
+    def run():
+        return [embedder.embed_many_with_columns(batch) for batch in batches]
+
+    passes = benchmark(run)
+    for batch, (vectors, stacks) in zip(batches, passes):
+        for record, vector, stack in zip(batch, vectors, stacks):
+            want_vector, want_stack = reference_token_pass.embed_with_columns(embedder, record)
+            assert vector.tobytes() == want_vector.tobytes()
+            assert stack.tobytes() == want_stack.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 4, 16])
+def test_micro_token_pass_reference(benchmark, pass_setup, size):
+    """The same batches through the per-record reference (÷96 per record)."""
+    embedder, records = pass_setup
+    batches = [records[i:i + size] for i in range(0, len(records), size)]
+
+    def run():
+        return [
+            [reference_token_pass.embed_with_columns(embedder, record) for record in batch]
+            for batch in batches
+        ]
+
+    assert sum(len(rows) for rows in benchmark(run)) == len(records)
 
 
 @pytest.fixture(scope="module")

@@ -310,7 +310,8 @@ def evaluate_imputation(
     numeric = set(numeric_columns or [])
     cat_total = cat_correct = 0
     squared: dict[str, list[float]] = {}
-    for row, column in missing_cells:
+    # Sorted, not set order: the sums must not follow the string hash seed.
+    for row, column in sorted(missing_cells):
         true_value = truth.cell(row, column)
         guess = imputed.cell(row, column)
         if column in numeric or truth.column_type(column) == ColumnType.NUMERIC:

@@ -14,11 +14,14 @@ both content and constraints".
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.data.dependencies import FunctionalDependency
 from repro.data.table import Table
 from repro.data.types import is_missing
+
+if TYPE_CHECKING:  # networkx is imported where a graph is built or measured
+    import networkx as nx
 
 
 def cell_node(column: str, value: object) -> str:
@@ -40,6 +43,8 @@ def table_to_graph(
     more often.  FD edges get ``fd_weight`` per supporting tuple, biasing
     walks toward constraint-linked values.
     """
+    import networkx as nx
+
     graph = nx.Graph(name=table.name)
     fds = fds or []
     for i in range(table.num_rows):
@@ -81,6 +86,8 @@ def _bump_edge(graph: nx.Graph, a: str, b: str, weight: float, kind: str) -> Non
 
 def graph_statistics(graph: nx.Graph) -> dict[str, float]:
     """Summary stats used in reports: nodes, edges, fd-edge share, density."""
+    import networkx as nx
+
     n_edges = graph.number_of_edges()
     fd_edges = sum(1 for _, _, d in graph.edges(data=True) if "fd" in d.get("kinds", set()))
     return {

@@ -9,8 +9,6 @@ thematically related datasets.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.data.table import Table
 
 
@@ -33,6 +31,8 @@ class EnterpriseKnowledgeGraph:
     """Typed graph over tables, columns and external reference terms."""
 
     def __init__(self) -> None:
+        import networkx as nx  # deferred: only an EKG needs it
+
         self.graph = nx.Graph()
         self._tables: dict[str, Table] = {}
 

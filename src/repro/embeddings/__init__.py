@@ -8,7 +8,6 @@ from repro.embeddings.compose import (
     TupleEmbedder,
     column_embedding,
     database_embedding,
-    mean_compose,
     sif_weights,
     table_embedding,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "TableGraphEmbedder",
     "TupleEmbedder",
     "LSTMComposer",
-    "mean_compose",
     "sif_weights",
     "column_embedding",
     "table_embedding",

@@ -24,18 +24,13 @@ from repro.data.types import is_missing
 from repro.nn.layers import Module
 from repro.nn.rnn import SequenceEncoder
 from repro.nn.tensor import Tensor
+from repro.text.subword import SubwordEmbeddings
 from repro.text.tokenize import word_tokenize
 from repro.text.word2vec import SkipGram
 from repro.utils.rng import ensure_rng
+from repro.utils.stats import segment_sums
 
 VectorFn = Callable[[str], np.ndarray]
-
-
-def mean_compose(vectors: np.ndarray, dim: int) -> np.ndarray:
-    """Average composition; zero vector for empty input."""
-    if vectors.size == 0:
-        return np.zeros(dim)
-    return vectors.mean(axis=0)
 
 
 def sif_weights(tokens: list[str], model: SkipGram, a: float = 1e-3) -> np.ndarray:
@@ -45,17 +40,21 @@ def sif_weights(tokens: list[str], model: SkipGram, a: float = 1e-3) -> np.ndarr
     tokens), so a call costs O(tokens), not O(vocabulary).
     """
     vocabulary = model.vocabulary
-    probabilities = vocabulary.probabilities
-    weights = []
-    for token in tokens:
-        token_id = vocabulary.get(token)
-        p = probabilities[token_id] if token_id is not None else 0.0
-        weights.append(a / (a + p))
-    return np.asarray(weights)
+    p = np.zeros(len(tokens))
+    known = [(i, token_id) for i, token in enumerate(tokens)
+             if (token_id := vocabulary.get(token)) is not None]
+    if known:
+        positions, token_ids = zip(*known)
+        p[list(positions)] = vocabulary.probabilities[list(token_ids)]
+    return a / (a + p)
 
 
 class TupleEmbedder:
     """Embed records (dicts) into vectors from word embeddings.
+
+    Every embedding is a view of one token pass over a list of records
+    (:meth:`embed_many_with_columns`); a record's vectors do not depend
+    on the other records of the pass.
 
     Parameters
     ----------
@@ -101,73 +100,95 @@ class TupleEmbedder:
     def dim(self) -> int:
         return self.model.dim
 
-    def _column_tokens(self, record: dict[str, object]) -> list[list[str]]:
-        """Each configured column's tokens; ``[]`` for a missing value."""
-        tokens: list[list[str]] = []
-        for column in self.columns:
-            value = record.get(column)
-            tokens.append([] if is_missing(value) else word_tokenize(str(value)))
-        return tokens
-
     def tokens_of(self, record: dict[str, object]) -> list[str]:
         """Token stream of a record over the configured columns."""
-        return [token for tokens in self._column_tokens(record) for token in tokens]
-
-    def _token_pass(
-        self, record: dict[str, object]
-    ) -> "tuple[np.ndarray | None, np.ndarray | None, list[tuple[int, int, int]]]":
-        """One pass over a record's tokens, shared by every composition.
-
-        Returns the whole record's token vectors stacked in token order,
-        their SIF weights (``None`` for mean) and, per column with tokens,
-        ``(position, start, stop)``: its rows of that stack.  Each token
-        is tokenised, looked up and weighted once.
-        """
         tokens: list[str] = []
+        for column in self.columns:
+            value = record.get(column)
+            if not is_missing(value):
+                tokens += word_tokenize(str(value))
+        return tokens
+
+    def _vectors(self, tokens: list[str]) -> np.ndarray:
+        """``(len(tokens), dim)`` vectors of distinct tokens: one batch
+        lookup for subword back-off, else one ``vector_fn`` call each."""
+        fn = self._vector_fn
+        if getattr(fn, "__func__", None) is SubwordEmbeddings.vector:
+            return fn.__self__.vectors(tokens)
+        return np.array([fn(token) for token in tokens], dtype=np.float64)
+
+    def embed_many_with_columns(
+        self, records: list[dict[str, object]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Tuple vectors ``(n, dim)`` and column stacks ``(n, columns, dim)``.
+
+        One token pass over ``records``: each non-missing column is
+        tokenised once, each distinct token is looked up (and SIF-weighted)
+        once, and every column's and every record's weighted rows are
+        summed by one ``np.bincount``, which adds a segment's rows in
+        token order from +0.0 as ``sum(axis=0)`` does.  SIF totals stay
+        one 1-D ``sum`` per segment, in numpy's pairwise order.  So a
+        record's rows are bit-identical to composing it alone, whatever
+        else is in the pass.  Missing or empty attributes, and records
+        without tokens, map to zero vectors.
+        """
+        n, width, dim = len(records), len(self.columns), self.dim
+        # Segments 0..n*width-1 are the (record, column) cells, then one
+        # per record; ``spans`` holds (segment, start, stop) over the
+        # token stream for every segment with tokens.
+        position: dict[str, int] = {}
+        occurrences: list[int] = []
         spans: list[tuple[int, int, int]] = []
-        for position, column_tokens in enumerate(self._column_tokens(record)):
-            if column_tokens:
-                spans.append((position, len(tokens), len(tokens) + len(column_tokens)))
-                tokens.extend(column_tokens)
-        if not tokens:
-            return None, None, spans
-        vectors = np.array([self._vector_fn(t) for t in tokens])
-        weights = sif_weights(tokens, self.model) if self.method == "sif" else None
-        return vectors, weights, spans
-
-    def _average(self, vectors: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-        """Mean of token vectors, or their SIF average (zero when the
-        weights vanish)."""
-        if weights is None:
-            return mean_compose(vectors, self.dim)
-        total = weights.sum()
-        if total < 1e-12:
-            return np.zeros(self.dim)
-        return (vectors * weights[:, None]).sum(axis=0) / total
-
-    def _tuple_vector(self, vectors, weights, spans) -> np.ndarray:
-        if not spans:
-            return np.zeros(self.dim)
-        return self._average(vectors, weights)
-
-    def _column_stack(self, vectors, weights, spans) -> np.ndarray:
-        """Each column composed over its own rows of the record's stack."""
-        out = np.zeros((len(self.columns), self.dim))
-        for position, start, stop in spans:
-            out[position] = self._average(
-                vectors[start:stop], None if weights is None else weights[start:stop]
-            )
-        return out
+        record_spans: list[tuple[int, int, int]] = []
+        for r, record in enumerate(records):
+            first = len(occurrences)
+            for c, column in enumerate(self.columns):
+                value = record.get(column)
+                if is_missing(value):
+                    continue
+                tokens = word_tokenize(str(value))
+                if tokens:
+                    start = len(occurrences)
+                    occurrences += [position.setdefault(t, len(position)) for t in tokens]
+                    spans.append((r * width + c, start, len(occurrences)))
+            if len(occurrences) > first:
+                record_spans.append((n * width + r, first, len(occurrences)))
+        if not occurrences:
+            return np.zeros((n, dim)), np.zeros((n, width, dim))
+        spans += record_spans
+        segments: list[int] = []
+        for segment, start, stop in spans:
+            segments += [segment] * (stop - start)
+        distinct = list(position)
+        rows = self._vectors(distinct)
+        divisors = [1.0] * (n * (width + 1))
+        vanished: list[int] = []
+        if self.method == "sif":
+            weights = sif_weights(distinct, self.model)
+            rows = rows * weights[:, None]
+            weights = weights[occurrences]
+            for segment, start, stop in spans:
+                total = np.add.reduce(weights[start:stop])
+                if total < 1e-12:
+                    vanished.append(segment)
+                else:
+                    divisors[segment] = total
+        else:
+            for segment, start, stop in spans:
+                divisors[segment] = stop - start
+        sums = segment_sums(rows[occurrences + occurrences], segments, len(divisors))
+        averages = sums / np.array(divisors)[:, None]
+        if vanished:
+            averages[vanished] = 0.0
+        return averages[n * width:], averages[: n * width].reshape(n, width, dim)
 
     def embed(self, record: dict[str, object]) -> np.ndarray:
         """Tuple2vec: one vector per record."""
-        return self._tuple_vector(*self._token_pass(record))
+        return self.embed_many_with_columns([record])[0][0]
 
     def embed_many(self, records: list[dict[str, object]]) -> np.ndarray:
         """Stack of tuple embeddings, shape ``(n, dim)``."""
-        if not records:
-            return np.zeros((0, self.dim))
-        return np.array([self.embed(r) for r in records])
+        return self.embed_many_with_columns(records)[0]
 
     def embed_columns(self, record: dict[str, object]) -> np.ndarray:
         """Per-attribute embeddings, shape ``(len(columns), dim)``.
@@ -176,19 +197,14 @@ class TupleEmbedder:
         featurisation compares attributes position-by-position, which needs
         this attribute-aligned view rather than one whole-tuple bag.
         """
-        return self._column_stack(*self._token_pass(record))
+        return self.embed_many_with_columns([record])[1][0]
 
     def embed_with_columns(
         self, record: dict[str, object]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(embed(record), embed_columns(record))`` from one token pass.
-
-        Serving needs both for every never-seen record: the tuple vector
-        probes the blocking index and the column stack feeds the pair
-        features.  Bit-identical to the two separate calls.
-        """
-        terms = self._token_pass(record)
-        return self._tuple_vector(*terms), self._column_stack(*terms)
+        """``(embed(record), embed_columns(record))`` from one token pass."""
+        vectors, stacks = self.embed_many_with_columns([record])
+        return vectors[0], stacks[0]
 
     def token_matrix(self, record: dict[str, object], max_tokens: int) -> np.ndarray:
         """Fixed-length ``(max_tokens, dim)`` matrix for sequence models.

@@ -9,7 +9,8 @@ constraints, which the tuple-as-document adaptation cannot do.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.data.dependencies import FunctionalDependency
@@ -18,7 +19,10 @@ from repro.data.table import Table
 from repro.text.similarity import cosine
 from repro.text.word2vec import SkipGram
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_fitted, check_positive
+from repro.utils.validation import check_fitted, check_positive_int
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class GraphEmbedder:
@@ -42,8 +46,8 @@ class GraphEmbedder:
         negatives: int = 5,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        check_positive("walk_length", walk_length)
-        check_positive("walks_per_node", walks_per_node)
+        check_positive_int("walk_length", walk_length)
+        check_positive_int("walks_per_node", walks_per_node)
         self.walk_length = walk_length
         self.walks_per_node = walks_per_node
         self._rng = ensure_rng(rng)

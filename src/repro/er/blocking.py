@@ -20,7 +20,7 @@ from repro.faults.retry import HOT_POLICY, retry_call
 from repro.par import pmap, pmap_chunks
 from repro.text.tokenize import word_tokenize
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive_int
 
 
 def _band_candidates(
@@ -76,8 +76,8 @@ class LSHBlocker:
         whiten: bool = True,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        check_positive("n_bits", n_bits)
-        check_positive("n_bands", n_bands)
+        check_positive_int("n_bits", n_bits)
+        check_positive_int("n_bands", n_bands)
         if n_bits % n_bands != 0:
             raise ValueError(f"n_bits ({n_bits}) must be divisible by n_bands ({n_bands})")
         self.n_bits = n_bits

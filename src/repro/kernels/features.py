@@ -57,7 +57,8 @@ import numpy as np
 
 from repro.embeddings.compose import TupleEmbedder
 from repro.obs.metrics import REGISTRY as _OBS
-from repro.par import pmap
+# ``pmap`` stays a module attribute: wallbench's ``--trace`` wraps it by name.
+from repro.par import pmap, pmap_chunks  # noqa: F401
 from repro.utils.content import content_key
 
 __all__ = [
@@ -172,12 +173,13 @@ def _unit_guarded(cols: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return np.where(normalise[:, :, None], cols / safe, cols)
 
 
-def _embed_columns_record(
-    record: "dict[str, object]", embedder: TupleEmbedder
+def _column_stacks(
+    records: "list[dict[str, object]]", embedder: TupleEmbedder
 ) -> np.ndarray:
-    """One record's per-attribute embeddings; module-level so
-    :func:`repro.par.pmap` workers can pickle it by reference."""
-    return embedder.embed_columns(record)
+    """A slice of records' per-attribute embeddings from one token pass;
+    module-level so :func:`repro.par.pmap_chunks` workers can pickle it
+    by reference."""
+    return embedder.embed_many_with_columns(records)[1]
 
 
 def unique_column_stack(
@@ -211,9 +213,9 @@ def unique_column_stack(
             row_of[key] = row
             unique_records.append(record)
         indices[position] = row
-    stack = np.array(
-        pmap(
-            partial(_embed_columns_record, embedder=embedder),
+    stack = np.concatenate(
+        pmap_chunks(
+            partial(_column_stacks, embedder=embedder),
             unique_records,
             jobs=jobs,
             label="kernels.compose",

@@ -14,7 +14,7 @@ from repro.nn import init
 from repro.nn.layers import Module, Parameter
 from repro.nn.tensor import Tensor, concat
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive_int
 
 
 class Conv1d(Module):
@@ -36,7 +36,7 @@ class Conv1d(Module):
         bias: bool = True,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        check_positive("kernel_size", kernel_size)
+        check_positive_int("kernel_size", kernel_size)
         if padding not in {"valid", "same"}:
             raise ValueError(f"padding must be 'valid' or 'same', got {padding!r}")
         rng = ensure_rng(rng)
@@ -84,7 +84,7 @@ class MaxPool1d(Module):
     """Non-overlapping max pooling over time; truncates a ragged tail."""
 
     def __init__(self, pool_size: int = 2) -> None:
-        check_positive("pool_size", pool_size)
+        check_positive_int("pool_size", pool_size)
         self.pool_size = pool_size
 
     def forward(self, x: Tensor) -> Tensor:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "Chunk",
@@ -59,7 +59,7 @@ def resolve_chunk_size(n_items: int, chunk_size: int | None = None) -> int:
     """The effective chunk size for ``n_items`` (jobs-independent)."""
     if chunk_size is None:
         chunk_size = math.ceil(n_items / DEFAULT_TARGET_CHUNKS) if n_items else 1
-    check_positive("chunk_size", chunk_size)
+    check_positive_int("chunk_size", chunk_size)
     return chunk_size
 
 

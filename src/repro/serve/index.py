@@ -18,7 +18,6 @@ online path and a direct offline ``predict`` over the same candidates.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import partial
 
 import numpy as np
 
@@ -26,17 +25,10 @@ from repro.embeddings.compose import TupleEmbedder
 from repro.er.blocking import LSHBlocker
 from repro.kernels.quant import MODES, QuantizedStore, quantize as quantize_store
 from repro.obs.trace import span
-from repro.par import pmap
+# ``pmap`` stays a module attribute: wallbench's ``--trace`` wraps it by name.
+from repro.par import pmap, pmap_chunks  # noqa: F401
 
 __all__ = ["BlockingIndex"]
-
-
-def _embed_record_with_columns(
-    record: "dict[str, object]", embedder: TupleEmbedder
-) -> "tuple[np.ndarray, np.ndarray]":
-    """One record's tuple embedding and per-attribute stack, from one
-    token pass (module-level for pmap)."""
-    return embedder.embed_with_columns(record)
 
 
 class BlockingIndex:
@@ -94,7 +86,8 @@ class BlockingIndex:
         quant`).  Serving gathers candidate rows from this store instead
         of re-embedding the candidate per pair.
 
-        ``jobs`` fans the reference embedding out over :func:`repro.par.pmap`
+        ``jobs`` fans the reference embedding out over
+        :func:`repro.par.pmap_chunks`, one token pass per slice of records
         (bit-identical to serial for every value).  Rebuilding replaces the
         previous index wholesale.
         """
@@ -106,14 +99,14 @@ class BlockingIndex:
             raise ValueError("cannot build an index over zero records")
         if quantize not in MODES:
             raise ValueError(f"quantize must be one of {MODES}, got {quantize!r}")
-        embedded = pmap(
-            partial(_embed_record_with_columns, embedder=self.embedder),
+        parts = pmap_chunks(
+            self.embedder.embed_many_with_columns,
             records,
             jobs=jobs,
             label="serve.index.embed",
         )
         signatures = self.blocker.prepare_reference(
-            np.array([vector for vector, _ in embedded])
+            np.concatenate([vectors for vectors, _ in parts])
         )
         buckets: list[dict[bytes, list[int]]] = []
         for lo, hi in self.blocker.band_slices():
@@ -123,7 +116,7 @@ class BlockingIndex:
             buckets.append(dict(band_buckets))
         with span("serve.index.columns", records=len(records), mode=quantize) as sp:
             store = quantize_store(
-                np.array([columns for _, columns in embedded]), mode=quantize
+                np.concatenate([stacks for _, stacks in parts]), mode=quantize
             )
             sp.meta["nbytes"] = store.nbytes
         self._ids = [str(i) for i in ids]
@@ -191,32 +184,23 @@ class BlockingIndex:
     # probe
     # ------------------------------------------------------------------ #
 
-    def embed_queries(
-        self, records: list[dict[str, object]], *, jobs: int = 1
-    ) -> np.ndarray:
-        """Tuple embeddings for query records (same embedder as the index)."""
-        return np.array([
-            vector for vector, _ in self.embed_queries_with_columns(records, jobs=jobs)
-        ]).reshape(len(records), self.embedder.dim)
+    def embed_queries(self, records: list[dict[str, object]]) -> np.ndarray:
+        """Tuple embeddings ``(n, dim)`` for query records (same embedder
+        as the index)."""
+        return self.embed_queries_with_columns(records)[0]
 
     def embed_queries_with_columns(
-        self, records: list[dict[str, object]], *, jobs: int = 1
-    ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """``(tuple embedding, per-attribute stack)`` per query record.
+        self, records: list[dict[str, object]]
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Tuple embeddings ``(n, dim)`` and per-attribute stacks
+        ``(n, columns, dim)`` of query records.
 
-        One token pass per record makes both (bit-identical to
-        ``embedder.embed`` and ``embedder.embed_columns``): serving
-        embeds a never-seen query once and hands its column stack to the
-        scoring stage.
+        One token pass over the batch makes both (bit-identical to
+        ``embedder.embed`` and ``embedder.embed_columns`` per record):
+        serving embeds a never-seen query once and hands its column stack
+        to the scoring stage.
         """
-        if not records:
-            return []
-        return pmap(
-            partial(_embed_record_with_columns, embedder=self.embedder),
-            records,
-            jobs=jobs,
-            label="serve.query.embed",
-        )
+        return self.embedder.embed_many_with_columns(records)
 
     def candidates(self, embedding: np.ndarray) -> list[str]:
         """Reference ids colliding with ``embedding`` in at least one band.

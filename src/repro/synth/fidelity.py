@@ -4,7 +4,6 @@ same statistical structure as the real data?"""
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.data.table import Table
 from repro.data.types import ColumnType, coerce_numeric, is_missing
@@ -31,6 +30,8 @@ def numeric_ks_statistic(real: Table, synthetic: Table, column: str) -> float:
     synth_values = _numeric_values(synthetic, column)
     if not real_values or not synth_values:
         return 1.0
+    from scipy import stats  # deferred: scipy.stats costs ~0.5 s to import
+
     return float(stats.ks_2samp(real_values, synth_values).statistic)
 
 

@@ -17,6 +17,7 @@ from scipy.sparse.linalg import lsqr
 
 from repro.text.tokenize import char_ngrams
 from repro.text.word2vec import SkipGram
+from repro.utils.stats import segment_sums
 from repro.utils.validation import check_fitted
 
 
@@ -84,6 +85,34 @@ class SubwordEmbeddings:
         if token in self.model:
             return self.model.vector(token)
         return self.oov_vector(token)
+
+    def vectors(self, tokens: list[str]) -> np.ndarray:
+        """``(len(tokens), dim)`` stack of :meth:`vector`, bit for bit.
+
+        One gather of the in-vocabulary rows, then one gather of every
+        out-of-vocabulary token's known n-gram rows and one in-order
+        segment sum for their means (+0.0 rows when none is known).
+        """
+        check_fitted(self, "ngram_vectors_")
+        model, index = self.model, self.ngram_index_
+        get = model.vocabulary.get
+        token_ids = [get(token) for token in tokens]
+        out = model.vectors_[[0 if i is None else i for i in token_ids]]
+        backoff = [row for row, token_id in enumerate(token_ids) if token_id is None]
+        if not backoff:
+            return out
+        grams: list[int] = []
+        segments: list[int] = []
+        counts: list[int] = []
+        for segment, row in enumerate(backoff):
+            known = [index[g] for g in char_ngrams(tokens[row], self.n_min, self.n_max)
+                     if g in index]
+            grams += known
+            segments += [segment] * len(known)
+            counts.append(len(known) or 1)
+        sums = segment_sums(self.ngram_vectors_[grams], segments, len(backoff))
+        out[backoff] = sums / np.array(counts)[:, None]
+        return out
 
     def oov_vector(self, token: str) -> np.ndarray:
         """Subword back-off embedding, ignoring vocabulary membership."""

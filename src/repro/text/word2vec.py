@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.text.vocab import Vocabulary
 from repro.utils.rng import ensure_rng
+from repro.utils.stats import segment_sums
 from repro.utils.validation import check_fitted, check_positive, check_positive_int
 
 
@@ -191,9 +192,7 @@ class SkipGram:
         unique = np.flatnonzero(counts)
         slot = np.empty(counts.size, dtype=np.intp)
         slot[unique] = np.arange(unique.size)
-        dim = matrix.shape[1]
-        cells = (slot[rows] * dim)[:, None] + np.arange(dim)
-        sums = np.bincount(cells.ravel(), weights=grads.ravel()).reshape(unique.size, dim)
+        sums = segment_sums(grads, slot[rows], unique.size)
         matrix[unique] += lr * sums / counts[unique, None]
 
     # ------------------------------------------------------------------ #

@@ -3,7 +3,7 @@ validation."""
 
 from repro.utils.content import canonical, content_key, digest_rows
 from repro.utils.rng import ensure_rng, spawn_rng
-from repro.utils.stats import percentile
+from repro.utils.stats import percentile, segment_sums
 from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_fitted,
@@ -19,6 +19,7 @@ __all__ = [
     "digest_rows",
     "ensure_rng",
     "percentile",
+    "segment_sums",
     "spawn_rng",
     "Timer",
     "check_fitted",

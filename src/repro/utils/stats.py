@@ -1,9 +1,13 @@
-"""Deterministic order statistics shared by the serving and gateway layers.
+"""Deterministic statistics shared across layers.
 
 :func:`percentile` is the single nearest-rank implementation behind
 ``RunReport.latency_percentiles`` (:mod:`repro.serve.clock`, shared by
 the simulator's and the gateway's reports) and the gateway's
 per-route/per-tenant metrics snapshot (:mod:`repro.gateway`).
+:func:`segment_sums` is the in-order row sum behind the token pass
+(:mod:`repro.embeddings.compose`), the subword back-off
+(:mod:`repro.text.subword`) and the SGNS update
+(:mod:`repro.text.word2vec`).
 """
 
 from __future__ import annotations
@@ -11,7 +15,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["percentile"]
+import numpy as np
+
+__all__ = ["percentile", "segment_sums"]
 
 
 def percentile(ordered: list[float], q: float) -> float:
@@ -29,3 +35,21 @@ def percentile(ordered: list[float], q: float) -> float:
         raise ValueError(f"percentile must be in (0, 100], got {q}")
     rank = math.ceil(Fraction(str(q)) * len(ordered) / 100)
     return ordered[rank - 1]
+
+
+def segment_sums(
+    rows: np.ndarray, segments: "np.ndarray | list[int]", n_segments: int
+) -> np.ndarray:
+    """``(n_segments, dim)`` sums of ``rows`` grouped by ``segments``.
+
+    One weighted ``np.bincount`` over the ``(segment, dim)`` cells: it
+    adds each row to its segment in input order, starting from +0.0 —
+    the IEEE additions ``rows[segments == s].sum(axis=0)`` makes for
+    ``dim >= 2``, signed zeros included.  (``np.add.reduceat`` does not
+    keep that order.)  Segments without rows sum to zero.
+    """
+    dim = rows.shape[1]
+    cells = np.add.outer(np.asarray(segments, dtype=np.intp) * dim, np.arange(dim))
+    return np.bincount(
+        cells.ravel(), weights=rows.ravel(), minlength=n_segments * dim
+    ).reshape(n_segments, dim)

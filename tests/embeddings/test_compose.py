@@ -15,7 +15,6 @@ from repro.embeddings import (
     TupleEmbedder,
     column_embedding,
     database_embedding,
-    mean_compose,
     sif_weights,
     table_embedding,
 )

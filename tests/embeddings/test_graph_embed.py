@@ -40,6 +40,10 @@ class TestGraphEmbedder:
             GraphEmbedder(walk_length=0)
         with pytest.raises(ValueError):
             GraphEmbedder(walks_per_node=0)
+        with pytest.raises(ValueError):
+            GraphEmbedder(walk_length=2.5)
+        with pytest.raises(ValueError):
+            GraphEmbedder(walks_per_node=2.0)
 
     def test_community_structure_in_embeddings(self):
         """Two cliques joined by one bridge: within-clique similarity must

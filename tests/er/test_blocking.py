@@ -16,6 +16,10 @@ class TestLSHBlocker:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             LSHBlocker(n_bits=0)
+        with pytest.raises(ValueError):
+            LSHBlocker(n_bits=16.0, n_bands=4)
+        with pytest.raises(ValueError):
+            LSHBlocker(n_bits=16, n_bands=4.0)
 
     def test_identical_vectors_always_candidates(self):
         rng = np.random.default_rng(0)

@@ -26,6 +26,11 @@ class TestConv1d:
         with pytest.raises(ValueError):
             Conv1d(2, 3, padding="circular")
 
+    @pytest.mark.parametrize("kernel_size", [0, 2.5, 3.0])
+    def test_invalid_kernel_size(self, kernel_size):
+        with pytest.raises(ValueError):
+            Conv1d(2, 3, kernel_size=kernel_size)
+
     def test_wrong_rank_rejected(self):
         conv = Conv1d(2, 3, rng=0)
         with pytest.raises(ValueError):
@@ -83,6 +88,8 @@ class TestPooling:
     def test_invalid_pool_size(self):
         with pytest.raises(ValueError):
             MaxPool1d(0)
+        with pytest.raises(ValueError):
+            MaxPool1d(2.0)
 
 
 class TestCharCNN:

@@ -74,6 +74,8 @@ class TestChunkSpans:
     def test_nonpositive_chunk_size_raises(self):
         with pytest.raises(ValueError):
             resolve_chunk_size(10, 0)
+        with pytest.raises(ValueError):
+            resolve_chunk_size(10, 2.5)
 
 
 class TestChunkSeed:

@@ -38,14 +38,14 @@ class TestBuild:
         parallel = BlockingIndex(
             trained_matcher.embedder, n_bits=16, n_bands=4, rng=0
         ).build(records, ids, jobs=2)
-        queries = serial.embed_queries(query_records[:10], jobs=1)
+        queries = serial.embed_queries(query_records[:10])
         for embedding in queries:
             assert serial.candidates(embedding) == parallel.candidates(embedding)
 
 
 class TestProbe:
     def test_candidates_sorted_and_known(self, built_index, query_records):
-        embeddings = built_index.embed_queries(query_records[:20], jobs=1)
+        embeddings = built_index.embed_queries(query_records[:20])
         any_candidates = False
         for embedding in embeddings:
             candidates = built_index.candidates(embedding)
@@ -57,8 +57,8 @@ class TestProbe:
 
     def test_candidates_batch_invariant(self, built_index, query_records):
         """A query's candidate set must not depend on its batch-mates."""
-        alone = built_index.embed_queries(query_records[:1], jobs=1)
-        grouped = built_index.embed_queries(query_records[:7], jobs=1)
+        alone = built_index.embed_queries(query_records[:1])
+        grouped = built_index.embed_queries(query_records[:7])
         assert np.array_equal(alone[0], grouped[0])
         assert built_index.candidates(alone[0]) == built_index.candidates(grouped[0])
 
@@ -67,14 +67,14 @@ class TestProbe:
     ):
         """An indexed record queried verbatim should collide with itself."""
         records, ids = reference_records
-        embeddings = built_index.embed_queries(records[:15], jobs=1)
+        embeddings = built_index.embed_queries(records[:15])
         found = sum(
             str(ids[i]) in built_index.candidates(embeddings[i]) for i in range(15)
         )
         assert found >= 14  # identical signature ⇒ same bucket in every band
 
     def test_embed_queries_empty(self, built_index, trained_matcher):
-        out = built_index.embed_queries([], jobs=1)
+        out = built_index.embed_queries([])
         assert out.shape == (0, trained_matcher.embedder.dim)
 
     def test_unknown_record_id_raises(self, built_index):

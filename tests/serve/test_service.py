@@ -144,7 +144,7 @@ class TestAnswers:
         answers = service.match_batch(batch).answers
         compared = 0
         for record, answer in zip(batch, answers):
-            embedding = service.index.embed_queries([record], jobs=1)[0]
+            embedding = service.index.embed_queries([record])[0]
             candidate_ids = service.index.candidates(embedding)
             assert tuple(candidate_ids) == answer.candidates
             if not candidate_ids:
