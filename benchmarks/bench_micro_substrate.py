@@ -33,9 +33,14 @@ over the same 96 records in batches of 1, 4 and 16 records, the
 shapes serving embeds, each beside the frozen per-record reference
 (``tests/embeddings/reference_token_pass.py``) over the same batches.
 
-The ``fd repair`` row times minimal FD repair of one 2,000-row slice
+The ``fd repair`` rows time minimal FD repair of one 2,000-row slice
 shaped like the gateway's ``clean`` requests: one FD, ~15 % of rows
-disagreeing with their group's majority.
+disagreeing with their group's majority.  One row repairs through
+``FDRepairer``, the other through the frozen per-row reference scan
+(``tests/cleaning/reference_fd_scans.py``); both must give the same
+table and repairs.  The ``clean group`` row times
+``CleanRouter.handle_group`` over four such slices, the group the
+gateway hands its clean route, answers included.
 
 The ``score cache`` rows time one ``bulk`` batch's score-cache traffic:
 1,015 never-seen pair keys (16 query keys x ~63 candidates) consulted and
@@ -53,12 +58,14 @@ from repro.cleaning import FDRepairer
 from repro.data import FunctionalDependency, Table
 from repro.embeddings import TupleEmbedder
 from repro.er import DeepER, LSHBlocker, pair_features
+from repro.gateway import CleanRouter, GatewayRequest
 from repro.kernels import PairSide, pair_feature_matrix, quantize
 from repro.kernels.reference import _pair_feature_row
 from repro.nn import Adam, LSTM, Tensor, bce_with_logits, mlp
 from repro.serve.cache import LRUCache, content_key
 from repro.text import SkipGram, SubwordEmbeddings
 
+from tests.cleaning.reference_fd_scans import reference_repair
 from tests.embeddings import reference_token_pass
 
 
@@ -392,25 +399,59 @@ def test_micro_token_pass_reference(benchmark, pass_setup, size):
     assert sum(len(rows) for rows in benchmark(run)) == len(records)
 
 
-@pytest.fixture(scope="module")
-def fd_slice():
+DEPT_FD = FunctionalDependency(("dept_id",), "dept_name")
+
+
+def _clean_slice(seed: int, table_name: str) -> Table:
     """2,000 rows x 4 columns; ``dept_id -> dept_name`` fails on ~15 % of rows."""
-    gen = np.random.default_rng(3)
+    gen = np.random.default_rng(seed)
     rows = []
     for i in range(2000):
         dept = int(gen.integers(12))
         divergent = gen.random() < 0.15
         name = f"dept-x{int(gen.integers(5))}" if divergent else f"dept-{dept}"
         rows.append([f"s{i}", f"D{dept}", name, f"city-{int(gen.integers(6))}"])
-    return Table("slice", ["record_id", "dept_id", "dept_name", "city"], rows)
+    return Table(table_name, ["record_id", "dept_id", "dept_name", "city"], rows)
+
+
+@pytest.fixture(scope="module")
+def fd_slice():
+    return _clean_slice(3, "slice")
 
 
 def test_micro_fd_repair(benchmark, fd_slice):
     """Majority-vote repair of the slice's one FD (per repair call)."""
-    fd = FunctionalDependency(("dept_id",), "dept_name")
-    repaired, report = benchmark(FDRepairer([fd]).repair, fd_slice)
-    assert fd.holds(repaired)
+    repaired, report = benchmark(FDRepairer([DEPT_FD]).repair, fd_slice)
+    assert DEPT_FD.holds(repaired)
     assert 200 < len(report) < 400
+
+
+def test_micro_fd_repair_reference(benchmark, fd_slice):
+    """The same repair through the per-row reference scan (per repair call)."""
+    repaired, report = benchmark(reference_repair, [DEPT_FD], fd_slice, 3)
+    want, want_report = FDRepairer([DEPT_FD]).repair(fd_slice)
+    assert repaired.equals(want)
+    assert report.repairs == want_report.repairs
+
+
+@pytest.fixture(scope="module")
+def clean_group():
+    """Four slices as four clean requests: one gateway group's worth."""
+    return tuple(
+        GatewayRequest(
+            request_id=i, tenant="etl", route="clean", priority="batch",
+            payload={"table": _clean_slice(3 + i, f"slice_{i}")},
+        )
+        for i in range(4)
+    )
+
+
+def test_micro_clean_group(benchmark, clean_group):
+    """``CleanRouter.handle_group`` over the four slices (per group)."""
+    outcome = benchmark(CleanRouter(FDRepairer([DEPT_FD])).handle_group, clean_group)
+    for request, answer in zip(clean_group, outcome.answers):
+        _, report = reference_repair([DEPT_FD], request.payload["table"], 3)
+        assert answer["repaired_cells"] == sorted(map(list, report.cells()))
 
 
 @pytest.fixture(scope="module")

@@ -8,15 +8,22 @@ number of changed cells, which majority voting minimises per group).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.data.dependencies import FunctionalDependency
 from repro.data.table import Table
+from repro.utils.validation import check_positive_int
 
 
-@dataclass(frozen=True)
-class Repair:
-    """One repaired cell."""
+class Repair(NamedTuple):
+    """One repaired cell.
+
+    A named tuple, because one repair of a gateway slice builds hundreds
+    and a tuple is the cheapest immutable record to build; like any tuple
+    it also equals a plain tuple of its fields.
+    """
 
     row: int
     column: str
@@ -39,14 +46,15 @@ class RepairReport:
 class FDRepairer:
     """Majority-vote minimal repair for a set of functional dependencies.
 
-    ``max_passes`` > 1 lets repairs of one FD re-trigger checks of another
-    (e.g. repairing ``dept_id`` can change which ``dept_name`` group a row
-    belongs to).
+    ``max_passes`` must be an integer >= 1; more than one pass lets repairs
+    of one FD re-trigger checks of another (e.g. repairing ``dept_id`` can
+    change which ``dept_name`` group a row belongs to).
     """
 
     def __init__(self, fds: list[FunctionalDependency], max_passes: int = 3) -> None:
         if not fds:
             raise ValueError("FDRepairer needs at least one FD")
+        check_positive_int("max_passes", max_passes)
         self.fds = list(fds)
         self.max_passes = max_passes
 
@@ -82,20 +90,17 @@ class FDRepairer:
         reason = f"fd:{fd}"
         changed = False
         for rows in groups.values():
-            counts: dict[object, int] = {}
-            for row in rows:
-                value = values[row]
-                counts[value] = counts.get(value, 0) + 1
+            counts = Counter(map(values.__getitem__, rows))
             if len(counts) <= 1:
                 continue
-            # Majority value; deterministic tie-break by string form.
+            # Majority value; deterministic tie-break by string form.  Counter
+            # keeps each value's first-seen object, so this is the group's own.
             majority = max(counts.items(), key=lambda kv: (kv[1], str(kv[0])))[0]
-            for row in rows:
-                value = values[row]
-                if value != majority:
-                    table.set_cell(row, fd.rhs, majority)
-                    report.repairs.append(Repair(row, fd.rhs, value, majority, reason))
-                    changed = True
+            minority = [row for row in rows if values[row] != majority]
+            for row in minority:
+                report.repairs.append(Repair(row, fd.rhs, values[row], majority, reason))
+                values[row] = majority  # ``values`` is the table's own column
+            changed = changed or bool(minority)
         return changed
 
 

@@ -9,8 +9,9 @@ and a pruned TANE-style discovery over small relations.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 from repro.data.table import Table
 from repro.data.types import is_missing
@@ -80,26 +81,32 @@ class FunctionalDependency:
 
         Each group is placed at its first row, as a row-by-row scan places
         it.  Rows with a missing value in any lhs column or in the rhs are
-        left out.  The columns are read whole, and ``is_missing`` runs on
-        an lhs key only while it has no group: once per distinct
-        non-missing key, since keys that compare equal are equally
-        missing.  The rhs is ``Table.column``'s shared list, not a copy.
-        A table without rows reads no column and gives ``({}, [])``.
+        left out.  Missingness is decided once per distinct value: once per
+        distinct rhs value before the scan, and once per distinct lhs key
+        after it, since values that compare equal are equally missing.  So
+        every rhs cell is hashed, even in a row whose lhs is missing.  A
+        one-column lhs groups by the raw cell and wraps each key as a
+        1-tuple at the end.  The rhs is ``Table.column``'s shared list, not
+        a copy: writing to it writes the table.  A table without rows reads
+        no column and gives ``({}, [])``.
         """
         if not table.num_rows:
             return {}, []
-        keys = zip(*(table.column(c) for c in self.lhs))
         rhs = table.column(self.rhs)
-        groups: dict[tuple[object, ...], list[int]] = {}
-        for i, (key, value) in enumerate(zip(keys, rhs)):
-            if is_missing(value):
-                continue
-            rows = groups.get(key)
-            if rows is not None:
-                rows.append(i)
-            elif not any(map(is_missing, key)):
-                groups[key] = [i]
-        return groups, rhs
+        missing = {value for value in set(rhs) if is_missing(value)}
+        wide = len(self.lhs) > 1
+        keys = zip(*(table.column(c) for c in self.lhs)) if wide else table.column(self.lhs[0])
+        indexed = enumerate(keys)
+        if missing:
+            indexed = compress(indexed, [value not in missing for value in rhs])
+        by_key: defaultdict[object, list[int]] = defaultdict(list)
+        for i, key in indexed:
+            by_key[key].append(i)
+        if wide:
+            return {
+                key: rows for key, rows in by_key.items() if not any(map(is_missing, key))
+            }, rhs
+        return {(key,): rows for key, rows in by_key.items() if not is_missing(key)}, rhs
 
 
 def violation_rate(table: Table, fds: list[FunctionalDependency]) -> float:
@@ -154,13 +161,10 @@ def _g3_error(groups: dict, rhs: list) -> float:
     total = sum(len(rows) for rows in groups.values())
     if total == 0:
         return 0.0
-    removals = 0
-    for rows in groups.values():
-        counts: dict[object, int] = {}
-        for row in rows:
-            value = rhs[row]
-            counts[value] = counts.get(value, 0) + 1
-        removals += len(rows) - max(counts.values())
+    removals = sum(
+        len(rows) - max(Counter(map(rhs.__getitem__, rows)).values())
+        for rows in groups.values()
+    )
     return removals / total
 
 

@@ -39,8 +39,6 @@ class CleanRouter(Router):
                 "rows": table.num_rows,
                 "columns": len(table.columns),
                 "repairs": len(report),
-                "repaired_cells": sorted(
-                    [row, column] for row, column in report.cells()
-                ),
+                "repaired_cells": [list(cell) for cell in sorted(report.cells())],
             })
         return RouterOutcome(answers=tuple(answers), work=float(cells_examined))

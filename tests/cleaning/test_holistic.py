@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cleaning import FDRepairer, HolisticRepairer
 from repro.data import FunctionalDependency, Table
+
+from tests.cleaning.conftest import assert_same_cells, fd_lists, repair_rows, tables
+from tests.cleaning.reference_holistic import reference_holistic_repair
 
 
 @pytest.fixture
@@ -30,6 +37,18 @@ class TestHolisticRepairer:
     def test_requires_fds(self):
         with pytest.raises(ValueError):
             HolisticRepairer([])
+
+    @pytest.mark.parametrize("setting, value", [
+        ("smoothing", 0.0), ("smoothing", -0.5), ("smoothing", math.nan), ("smoothing", math.inf),
+        ("fd_weight", math.nan), ("fd_weight", -1.0), ("fd_weight", math.inf),
+        ("context_weight", math.nan), ("context_weight", -1.0), ("context_weight", math.inf),
+        ("prior_weight", math.nan), ("prior_weight", -0.3), ("prior_weight", math.inf),
+    ])
+    def test_invalid_settings(self, fd, setting, value):
+        """Zero or negative smoothing would fail inside ``_score`` with a math
+        domain error; a NaN setting would return a repair with no error."""
+        with pytest.raises(ValueError, match=setting):
+            HolisticRepairer([fd], **{setting: value})
 
     def test_input_untouched(self, cities_table, fd):
         snapshot = cities_table.copy()
@@ -78,3 +97,40 @@ class TestHolisticRepairer:
         )
         repaired, _ = repairer.repair(cities_table)
         assert repaired.cell(2, "country") == "de"  # majority within group
+
+
+class TestMatchesRescanReference:
+    """Group counts kept across writes score every cell as the rescan of
+    every row did: the same repaired cells, objects and report."""
+
+    @staticmethod
+    def check(table, repairer):
+        repaired, report = repairer.repair(table)
+        expected, expected_report = reference_holistic_repair(repairer, table)
+        assert_same_cells(repaired, expected)
+        assert repair_rows(report) == repair_rows(expected_report)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_repair(self, data):
+        table = data.draw(tables())
+        fds = data.draw(fd_lists(table.columns))
+        weights = st.sampled_from([0.0, 0.3, 1.0, 2.0])
+        repairer = HolisticRepairer(
+            fds,
+            fd_weight=data.draw(weights),
+            context_weight=data.draw(weights),
+            prior_weight=data.draw(weights),
+            smoothing=data.draw(st.sampled_from([0.5, 1e-3, 2.0])),
+        )
+        self.check(table, repairer)
+
+    def test_write_moves_a_row_between_groups(self):
+        """``a -> b`` rewrites row 2's b from y to x before ``b -> c`` scores
+        row 5's c, so row 5's b group must then hold row 2."""
+        table = Table("t", ["a", "b", "c"], rows=[
+            ["1", "x", "p"], ["1", "x", "p"], ["1", "y", "q"],
+            ["2", "y", "q"], ["2", "y", "q"], ["3", "x", "q"],
+        ])
+        repairer = HolisticRepairer([FunctionalDependency(("a",), "b"), FunctionalDependency(("b",), "c")])
+        self.check(table, repairer)

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
-from unittest import mock
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cleaning import FDRepairer, RepairReport, blank_conflicts, repair_quality
+from repro.cleaning import FDRepairer, blank_conflicts, repair_quality
 from repro.cleaning.repair import Repair
 from repro.data import (
     ErrorGenerator,
@@ -22,13 +21,30 @@ from repro.data import (
     violation_rate,
 )
 from repro.data import dependencies
-from repro.data.types import is_missing
+
+from tests.cleaning.conftest import assert_same_cells, fd_lists, repair_rows, tables
+from tests.cleaning.reference_fd_scans import (
+    reference_blank_conflicts,
+    reference_fd_error,
+    reference_group_rows,
+    reference_repair,
+    reference_scans,
+    reference_violating_rows,
+    reference_violations,
+)
 
 
 class TestFDRepairer:
     def test_requires_fds(self):
         with pytest.raises(ValueError):
             FDRepairer([])
+
+    @pytest.mark.parametrize("max_passes", [0, -1, 2.5, math.nan, True])
+    def test_invalid_settings(self, max_passes):
+        """``max_passes`` < 1 would return an unrepaired copy; a float
+        would fail only inside ``repair``."""
+        with pytest.raises(ValueError, match="max_passes"):
+            FDRepairer([FunctionalDependency(("a",), "b")], max_passes=max_passes)
 
     def test_majority_value_wins(self):
         table = Table(
@@ -99,171 +115,6 @@ class TestRepairQuality:
         assert quality["precision"] == 0.0
 
 
-# -- reference: the row-by-row scans that column-at-a-time grouping replaced --
-
-
-def reference_group_rows(fd, table):
-    """LHS groups by a row-by-row scan: every cell through ``Table.cell``."""
-    groups = {}
-    for i in range(table.num_rows):
-        key = tuple(table.cell(i, c) for c in fd.lhs)
-        if any(is_missing(v) for v in key) or is_missing(table.cell(i, fd.rhs)):
-            continue
-        groups.setdefault(key, []).append(i)
-    return groups
-
-
-def reference_group_rows_and_rhs(fd, table):
-    """``FunctionalDependency.group_rows``'s pair over the row-by-row scan."""
-    rhs = [table.cell(i, fd.rhs) for i in range(table.num_rows)]
-    return reference_group_rows(fd, table), rhs
-
-
-def reference_repair_fd(table, fd, report):
-    changed = False
-    for rows in reference_group_rows(fd, table).values():
-        counts = {}
-        for row in rows:
-            value = table.cell(row, fd.rhs)
-            counts[value] = counts.get(value, 0) + 1
-        if len(counts) <= 1:
-            continue
-        majority = max(counts.items(), key=lambda kv: (kv[1], str(kv[0])))[0]
-        for row in rows:
-            value = table.cell(row, fd.rhs)
-            if value != majority:
-                table.set_cell(row, fd.rhs, majority)
-                report.repairs.append(Repair(row, fd.rhs, value, majority, f"fd:{fd}"))
-                changed = True
-    return changed
-
-
-def reference_repair(fds, table, max_passes):
-    """Every FD on every pass, until a pass changes nothing."""
-    repaired = table.copy(f"{table.name}_repaired")
-    report = RepairReport()
-    for _ in range(max_passes):
-        changed = False
-        for fd in fds:
-            changed |= reference_repair_fd(repaired, fd, report)
-        if not changed:
-            break
-    return repaired, report
-
-
-def reference_violations(fd, table):
-    bad_pairs = []
-    for rows in reference_group_rows(fd, table).values():
-        by_rhs = {}
-        for row in rows:
-            by_rhs.setdefault(table.cell(row, fd.rhs), []).append(row)
-        buckets = list(by_rhs.values())
-        for i, bucket_a in enumerate(buckets):
-            for bucket_b in buckets[i + 1:]:
-                bad_pairs.extend((min(a, b), max(a, b)) for a in bucket_a for b in bucket_b)
-    return sorted(set(bad_pairs))
-
-
-def reference_violating_rows(fd, table):
-    """Rows of the listed violating pairs (``violating_rows`` before it
-    read the groups)."""
-    return {row for pair in reference_violations(fd, table) for row in pair}
-
-
-def reference_fd_error(fd, table):
-    groups = reference_group_rows(fd, table)
-    total = sum(len(rows) for rows in groups.values())
-    if total == 0:
-        return 0.0
-    removals = 0
-    for rows in groups.values():
-        counts = {}
-        for row in rows:
-            value = table.cell(row, fd.rhs)
-            counts[value] = counts.get(value, 0) + 1
-        removals += len(rows) - max(counts.values())
-    return removals / total
-
-
-def reference_holds_with_support(fd, table, min_support):
-    multi = 0
-    for rows in reference_group_rows(fd, table).values():
-        if len({table.cell(r, fd.rhs) for r in rows}) > 1:
-            return False
-        multi += len(rows) > 1
-    return multi >= min_support
-
-
-def reference_blank_conflicts(table, fds):
-    blanked = table.copy(f"{table.name}_conflicts_blanked")
-    cells = set()
-    for fd in fds:
-        for rows in reference_group_rows(fd, table).values():
-            if len({table.cell(r, fd.rhs) for r in rows}) <= 1:
-                continue
-            for row in rows:
-                blanked.set_cell(row, fd.rhs, None)
-                cells.add((row, fd.rhs))
-    return blanked, cells
-
-
-@contextmanager
-def reference_scans():
-    """Patch the reference scans into the FD module, so discovery runs on them."""
-    with ExitStack() as stack:
-        for target, name, reference in (
-            (FunctionalDependency, "group_rows", reference_group_rows_and_rhs),
-            (FunctionalDependency, "violations", reference_violations),
-            (FunctionalDependency, "violating_rows", reference_violating_rows),
-            (dependencies, "fd_error", reference_fd_error),
-            (dependencies, "_holds_with_support", reference_holds_with_support),
-        ):
-            stack.enter_context(mock.patch.object(target, name, reference))
-        yield
-
-
-# -- strategies ---------------------------------------------------------------
-
-# 1, 1.0 and True are equal and hash alike but print apart; "", None and
-# NaN are the missing encodings.  FRESH_NAN draws a new NaN object, which
-# no other NaN key equals.
-FRESH_NAN = object()
-CELLS = st.sampled_from(["a", "b", "c", "", None, float("nan"), 1, 1.0, True, 2, FRESH_NAN]).map(
-    lambda value: float("nan") if value is FRESH_NAN else value
-)
-COLUMNS = ["c0", "c1", "c2", "c3"]
-
-
-@st.composite
-def tables(draw):
-    """0-40 rows; each column draws from its own few values, so LHS groups
-    are large and conflicting, and repairs cascade from FD to FD."""
-    columns = COLUMNS[:draw(st.integers(3, 4))]
-    palettes = [draw(st.lists(CELLS, min_size=2, max_size=4)) for _ in columns]
-    n_rows = draw(st.integers(0, 40))
-    return Table("t", columns, [[draw(st.sampled_from(p)) for p in palettes] for _ in range(n_rows)])
-
-
-@st.composite
-def fd_lists(draw, columns):
-    """1-3 FDs; cascades, shared rhs columns and two-FD cycles by construction."""
-    a, b, c = draw(st.permutations(columns))[:3]
-    shape = draw(st.sampled_from(["free", "cascade", "shared_rhs", "cycle"]))
-    fds = {
-        "free": [],
-        "cascade": [FunctionalDependency((a,), b), FunctionalDependency((b,), c)],
-        "shared_rhs": [FunctionalDependency((a,), c), FunctionalDependency((b,), c)],
-        "cycle": [FunctionalDependency((a,), b), FunctionalDependency((b,), a)],
-    }[shape]
-    for _ in range(draw(st.integers(0 if fds else 1, 3 - len(fds)))):
-        rhs = draw(st.sampled_from(columns))
-        lhs = draw(st.lists(
-            st.sampled_from([x for x in columns if x != rhs]), min_size=1, max_size=2, unique=True,
-        ))
-        fds.append(FunctionalDependency(tuple(lhs), rhs))
-    return draw(st.permutations(fds))
-
-
 CASCADE_ROWS = [["1", "10", "hr"], ["1", "99", "hr"], ["2", "10", "hr"], ["3", "10", "finance"]]
 EID_DEPT = FunctionalDependency(("eid",), "dept")
 DEPT_DNAME = FunctionalDependency(("dept",), "dname")
@@ -271,19 +122,6 @@ DEPT_DNAME = FunctionalDependency(("dept",), "dname")
 
 def cascade_table():
     return Table("t", ["eid", "dept", "dname"], rows=CASCADE_ROWS)
-
-
-def assert_same_cells(table, expected):
-    """Equal by ``repr`` (1, 1.0 and True differ) and by identity (so do NaNs)."""
-    assert table.columns == expected.columns
-    for column in table.columns:
-        got, want = table.column(column), expected.column(column)
-        assert list(map(repr, got)) == list(map(repr, want)), column
-        assert all(g is w for g, w in zip(got, want)), column
-
-
-def repair_rows(report):
-    return [(r.row, r.column, repr(r.old_value), repr(r.new_value), r.reason) for r in report.repairs]
 
 
 class TestMatchesPerCellReference:
@@ -324,10 +162,26 @@ class TestMatchesPerCellReference:
     @given(data=st.data())
     def test_other_scans(self, data):
         table = data.draw(tables())
-        fds = data.draw(fd_lists(table.columns))
-        got = self.scans(table, fds, blank_conflicts)
+        self.check_scans(table, data.draw(fd_lists(table.columns)))
+
+    @pytest.mark.parametrize("lhs_size", [1, 2])
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing", "present"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_each_grouping_branch(self, data, missing, lhs_size):
+        """``group_rows`` groups a one-column lhs by the raw cell and a wider
+        one by tuples; each branch on tables with and without missing cells."""
+        table = data.draw(tables(missing=missing))
+        fds = data.draw(fd_lists(table.columns, lhs_size))
+        assert all(len(fd.lhs) == lhs_size for fd in fds)
+        self.check_repair(table, fds, data.draw(st.sampled_from([1, 2, 3, 5])))
+        self.check_scans(table, fds)
+
+    @classmethod
+    def check_scans(cls, table, fds):
+        got = cls.scans(table, fds, blank_conflicts)
         with reference_scans():
-            expected = self.scans(table, fds, reference_blank_conflicts)
+            expected = cls.scans(table, fds, reference_blank_conflicts)
         assert_same_cells(got.pop("blanked"), expected.pop("blanked"))
         assert got == expected
 
@@ -349,6 +203,57 @@ class TestMatchesPerCellReference:
             "blanked": blanked,
             "blanked_cells": cells,
         }
+
+
+class TestGroupingContract:
+    """What ``group_rows`` promises beyond matching the reference scan."""
+
+    FD = FunctionalDependency(("a",), "b")
+
+    def test_dict_equality(self):
+        """1, 1.0 and True group together under the first row's cell, and the
+        written majority is the first object of that value in the group."""
+        majority, equal = float("1"), float("1")
+        table = Table("t", ["a", "b"], rows=[[1, "x"], [1.0, majority], [True, 1], [True, equal], [2, "y"]])
+        groups, _ = self.FD.group_rows(table)
+        assert repr(list(groups.items())) == "[((1,), [0, 1, 2, 3]), ((2,), [4])]"
+        repaired, report = FDRepairer([self.FD]).repair(table)
+        assert repaired.cell(0, "b") is majority
+        assert repaired.cell(3, "b") is equal
+        assert [(r.row, r.old_value, r.new_value) for r in report.repairs] == [(0, "x", 1.0)]
+
+    def test_unhashable_rhs_refused_in_every_row(self):
+        """Missingness is decided per distinct rhs value, so every rhs cell is
+        hashed, also in a row whose lhs is missing."""
+        table = Table("t", ["a", "b"], rows=[[None, ["x"]], ["1", "y"]])
+        with pytest.raises(TypeError):
+            self.FD.group_rows(table)
+
+
+class TestRepairRecord:
+    """``Repair``: five fields in order, a stable repr, immutable and hashable."""
+
+    REPAIR = Repair(3, "b", "y", "x", "fd:a -> b")
+
+    def test_fields_and_repr(self):
+        repair = self.REPAIR
+        assert (repair.row, repair.column, repair.old_value, repair.new_value, repair.reason) == (
+            3, "b", "y", "x", "fd:a -> b"
+        )
+        assert repr(repair) == (
+            "Repair(row=3, column='b', old_value='y', new_value='x', reason='fd:a -> b')"
+        )
+        assert Repair(row=3, column="b", old_value="y", new_value="x", reason="fd:a -> b") == repair
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.REPAIR.new_value = "z"
+
+    def test_hash_and_equality(self):
+        same = Repair(3, "b", "y", "x", "fd:a -> b")
+        assert same == self.REPAIR and hash(same) == hash(self.REPAIR)
+        assert len({self.REPAIR, same, Repair(4, "b", "y", "x", "fd:a -> b")}) == 2
+        assert self.REPAIR != Repair(3, "b", "y", "z", "fd:a -> b")
 
 
 class TestMissingColumn:
