@@ -47,6 +47,16 @@ The ``score cache`` rows time one ``bulk`` batch's score-cache traffic:
 written back against a full 4,096-entry cache, once as one
 ``get_many`` + one ``put_many`` and once as the per-key ``get``/``put``
 loop.  Both must leave the same entries, recency order and stats.
+
+The ``shard candidates`` and ``shard embeddings`` rows time two stages
+of a 4x2 ``ShardedMatchService`` batch on 4 never-seen records over 3
+home shards, the shape of a ``gateway`` match batch: the candidate
+stage with each key hashed once (``BlockingIndex.band_keys``) and looked
+up on every shard, and the embedding stage on cold tiers with one token
+pass for the batch.  Each sits beside the frozen parent stage
+(``tests/serve/reference_pipeline.py``: every shard hashes each key;
+one pass per home shard), and both must give the same candidates,
+embeddings and column stacks.
 """
 
 from __future__ import annotations
@@ -62,11 +72,13 @@ from repro.gateway import CleanRouter, GatewayRequest
 from repro.kernels import PairSide, pair_feature_matrix, quantize
 from repro.kernels.reference import _pair_feature_row
 from repro.nn import Adam, LSTM, Tensor, bce_with_logits, mlp
+from repro.serve import BlockingIndex, ShardedMatchService
 from repro.serve.cache import LRUCache, content_key
 from repro.text import SkipGram, SubwordEmbeddings
 
 from tests.cleaning.reference_fd_scans import reference_repair
 from tests.embeddings import reference_token_pass
+from tests.serve import reference_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -529,6 +541,98 @@ def test_micro_score_cache_per_key(benchmark, score_traffic):
         rounds=100,
     )
     assert_same_cache(cache, expected)
+
+
+@pytest.fixture(scope="module")
+def shard_batch(pass_setup):
+    """A 4x2 sharded service over 80 of ``pass_setup``'s records and a
+    batch of 4 never-seen records spread over 3 home shards, the shape of
+    a ``gateway`` match batch.
+
+    Returns the service, the batch's ``(key, record)`` lists per home
+    shard, its keys in order and their embeddings.
+    """
+    embedder, records = pass_setup
+    reference, queries = records[:80], records[80:84]
+    train = [(r, r, 1) for r in reference[:20]] + [
+        (a, b, 0) for a, b in zip(reference[:40], reference[40:])
+    ]
+    matcher = DeepER(
+        embedder.model, embedder.columns, composition="sif",
+        vector_fn=embedder.vector_fn, rng=0,
+    ).fit(train, epochs=2)
+    index = BlockingIndex(matcher.embedder, n_bits=32, n_bands=8, rng=0).build(
+        reference, [f"r{i:03d}" for i in range(len(reference))]
+    )
+    service = ShardedMatchService(matcher, index, n_shards=4, replicas=2)
+    keys = [content_key(record) for record in queries]
+    by_home = reference_pipeline.keyed_by_home(
+        keys, dict(zip(keys, service._route(keys))), dict(zip(keys, queries))
+    )
+    assert len(by_home) == 3
+    embeddings = dict(zip(keys, index.embed_queries(queries)))
+    return service, by_home, keys, embeddings
+
+
+def test_micro_shard_candidates(benchmark, shard_batch):
+    """The 4-shard candidate stage: each key's band keys made once, then
+    every shard's ``candidate_map`` looks them up (per batch)."""
+    service, _, keys, embeddings = shard_batch
+    index = service.groups[0].primary.index
+
+    def run():
+        band_keys = {key: index.band_keys(embeddings[key]) for key in keys}
+        return [group.primary.candidate_map(band_keys, keys) for group in service.groups]
+
+    got = benchmark(run)
+    assert got == [
+        reference_pipeline.candidate_map(group.primary, embeddings, keys)
+        for group in service.groups
+    ]
+    assert any(any(local.values()) for local in got)
+
+
+def test_micro_shard_candidates_reference(benchmark, shard_batch):
+    """The same stage with every shard hashing each key inside its probe,
+    the frozen parent stage (per batch)."""
+    service, _, keys, embeddings = shard_batch
+    benchmark(lambda: [
+        reference_pipeline.candidate_map(group.primary, embeddings, keys)
+        for group in service.groups
+    ])
+
+
+def _cold_embedding_stage(service, by_home):
+    for group in service.groups:
+        group.primary.embedding_cache.clear()
+    return (service.groups, by_home), {}
+
+
+def test_micro_shard_embeddings(benchmark, shard_batch):
+    """The 4-shard embedding stage on cold tiers: lookups on each home
+    shard, one token pass for the batch, inserts (per batch)."""
+    service, by_home, keys, _ = shard_batch
+    got = benchmark.pedantic(
+        service._embed_batch,
+        setup=lambda: _cold_embedding_stage(service, by_home),
+        rounds=300,
+    )
+    _cold_embedding_stage(service, by_home)
+    want = reference_pipeline.embed_stage(service, service.groups, by_home)
+    assert [got[0][key].tobytes() for key in keys] == [want[0][key].tobytes() for key in keys]
+    assert [got[2][key].tobytes() for key in keys] == [want[2][key].tobytes() for key in keys]
+    assert got[1:2] + got[3:] == want[1:2] + want[3:]
+
+
+def test_micro_shard_embeddings_reference(benchmark, shard_batch):
+    """The same stage with one token pass per home shard, the frozen
+    parent stage (per batch)."""
+    service, by_home, _, _ = shard_batch
+    benchmark.pedantic(
+        lambda groups, keyed: reference_pipeline.embed_stage(service, groups, keyed),
+        setup=lambda: _cold_embedding_stage(service, by_home),
+        rounds=300,
+    )
 
 
 # -- lint engine: cold parse vs warm cache ------------------------------------

@@ -43,29 +43,34 @@ def _score_pair(
 
 
 def _match_tables(
-    matcher, table_a: Table, table_b: Table, threshold: float, jobs: int
+    score_pair: "Callable[[tuple[str, str]], ColumnLink]",
+    table_a: Table,
+    table_b: Table,
+    threshold: float,
+    jobs: int,
 ) -> "list[ColumnLink]":
     """Shared ``match_tables`` body for both matcher families.
 
-    Column pairs are scored via :func:`repro.par.pmap` (results come back
-    in nested-loop order regardless of ``jobs``), then filtered and
-    stably sorted — bit-identical to the serial double loop.  A matcher
-    whose ``vector_fn`` is an unpicklable closure silently degrades to
-    the serial path.
+    Column pairs are scored by ``score_pair`` via :func:`repro.par.pmap`
+    (results come back in nested-loop order regardless of ``jobs``),
+    then filtered and stably sorted — bit-identical to the serial double
+    loop.  A matcher whose ``vector_fn`` is an unpicklable closure
+    silently degrades to the serial path.
     """
     pairs = [
         (column_a, column_b)
         for column_a in table_a.columns
         for column_b in table_b.columns
     ]
-    links = pmap(
-        partial(_score_pair, matcher=matcher, table_a=table_a, table_b=table_b),
-        pairs,
-        jobs=jobs,
-        label="matcher.match_tables",
-    )
+    links = pmap(score_pair, pairs, jobs=jobs, label="matcher.match_tables")
     kept = [link for link in links if link.score >= threshold]
     return sorted(kept, key=lambda l: -l.score)
+
+
+def _value_set(table: Table, column: str) -> "set[str]":
+    """A column's distinct non-missing values, lowercased: the input of
+    :class:`SyntacticMatcher`'s value overlap."""
+    return {str(v).lower() for v in table.column(column) if not is_missing(v)}
 
 
 def name_word_group(column_name: str) -> list[str]:
@@ -136,7 +141,8 @@ class SemanticMatcher:
         self, table_a: Table, table_b: Table, threshold: float = 0.5, *, jobs: int = 1
     ) -> list[ColumnLink]:
         """All cross-table column links scoring at least ``threshold``."""
-        return _match_tables(self, table_a, table_b, threshold, jobs)
+        score_pair = partial(_score_pair, matcher=self, table_a=table_a, table_b=table_b)
+        return _match_tables(score_pair, table_a, table_b, threshold, jobs)
 
 
 class SyntacticMatcher:
@@ -148,11 +154,24 @@ class SyntacticMatcher:
     """
 
     def __init__(self, name_weight: float = 0.5) -> None:
+        if not 0.0 <= name_weight <= 1.0:
+            raise ValueError(f"name_weight must be in [0,1], got {name_weight}")
         self.name_weight = name_weight
 
     def score_columns(
         self, table_a: Table, column_a: str, table_b: Table, column_b: str
     ) -> ColumnLink:
+        return self._link(
+            (table_a.name, column_a, _value_set(table_a, column_a)),
+            (table_b.name, column_b, _value_set(table_b, column_b)),
+        )
+
+    def _link(
+        self, side_a: "tuple[str, str, set[str]]", side_b: "tuple[str, str, set[str]]"
+    ) -> ColumnLink:
+        """Score one column pair given as ``(table name, column, value
+        set)`` sides, each value set made by :func:`_value_set`."""
+        (table_a, column_a, values_a), (table_b, column_b, values_b) = side_a, side_b
         group_a = name_word_group(column_a)
         group_b = name_word_group(column_b)
         # Name: best-effort token alignment by edit similarity + shared words.
@@ -161,30 +180,30 @@ class SyntacticMatcher:
         token_overlap = shared / union if union else 0.0
         edit = levenshtein_similarity(" ".join(group_a), " ".join(group_b))
         name_score = max(token_overlap, edit)
-        value_score = self._value_overlap(table_a, column_a, table_b, column_b)
+        if values_a and values_b:
+            value_score = len(values_a & values_b) / min(len(values_a), len(values_b))
+        else:
+            value_score = 0.0
         score = self.name_weight * name_score + (1.0 - self.name_weight) * value_score
         return ColumnLink(
-            table_a.name, column_a, table_b.name, column_b,
+            table_a, column_a, table_b, column_b,
             score, name_score, value_score,
         )
-
-    def _value_overlap(
-        self, table_a: Table, column_a: str, table_b: Table, column_b: str
-    ) -> float:
-        values_a = {
-            str(v).lower() for v in table_a.column(column_a) if not is_missing(v)
-        }
-        values_b = {
-            str(v).lower() for v in table_b.column(column_b) if not is_missing(v)
-        }
-        if not values_a or not values_b:
-            return 0.0
-        return len(values_a & values_b) / min(len(values_a), len(values_b))
 
     def match_tables(
         self, table_a: Table, table_b: Table, threshold: float = 0.5, *, jobs: int = 1
     ) -> list[ColumnLink]:
-        return _match_tables(self, table_a, table_b, threshold, jobs)
+        """All cross-table column links scoring at least ``threshold``;
+        each column's value set is made once per call, not once per pair."""
+        sides_a = {c: (table_a.name, c, _value_set(table_a, c)) for c in table_a.columns}
+        sides_b = {c: (table_b.name, c, _value_set(table_b, c)) for c in table_b.columns}
+        score_pair = partial(_link_pair, matcher=self, sides_a=sides_a, sides_b=sides_b)
+        return _match_tables(score_pair, table_a, table_b, threshold, jobs)
+
+
+def _link_pair(columns: tuple[str, str], matcher, sides_a: dict, sides_b: dict) -> ColumnLink:
+    """Score one column pair from prepared sides (process-pool worker)."""
+    return matcher._link(sides_a[columns[0]], sides_b[columns[1]])
 
 
 def one_to_one(links: list[ColumnLink]) -> list[ColumnLink]:

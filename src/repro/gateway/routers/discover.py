@@ -12,6 +12,7 @@ contract makes the links jobs-independent).
 from __future__ import annotations
 
 from repro.gateway.routers.base import Router, RouterOutcome
+from repro.utils.validation import check_positive_int
 
 __all__ = ["DiscoverRouter"]
 
@@ -24,8 +25,7 @@ class DiscoverRouter(Router):
     def __init__(self, matcher, reference, threshold: float = 0.5, jobs: int = 1) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        check_positive_int("jobs", jobs)
         self.matcher = matcher
         self.reference = reference
         self.threshold = float(threshold)

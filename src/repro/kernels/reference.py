@@ -65,7 +65,7 @@ def loop_match_batch(
     keys = [content_key(record) for record in records]
     record_by_key = dict(zip(keys, records))
     candidates = {
-        key: index.candidates(index.embedder.embed(record))
+        key: index.candidates(index.band_keys(index.embedder.embed(record)))
         for key, record in record_by_key.items()
     }
     pairs = [

@@ -31,6 +31,7 @@ from itertools import islice
 
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.utils.content import content_key
+from repro.utils.validation import check_non_negative_int
 
 __all__ = ["CacheStats", "CacheStatsView", "LRUCache", "MISSING", "content_key"]
 
@@ -99,8 +100,7 @@ class LRUCache:
     """
 
     def __init__(self, capacity: int, *, name: str = "cache") -> None:
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
+        check_non_negative_int("capacity", capacity)
         self.capacity = int(capacity)
         self.name = name
         self.stats = CacheStats()

@@ -59,6 +59,7 @@ class BlockingIndex:
         self._ids: list[str] = []
         self._records: dict[str, dict[str, object]] = {}
         self._buckets: list[dict[bytes, list[int]]] | None = None
+        self._bands = [slice(lo, hi) for lo, hi in self.blocker.band_slices()]
         self._column_store: QuantizedStore | None = None
         self._row_of: dict[str, int] = {}
 
@@ -109,10 +110,10 @@ class BlockingIndex:
             np.concatenate([vectors for vectors, _ in parts])
         )
         buckets: list[dict[bytes, list[int]]] = []
-        for lo, hi in self.blocker.band_slices():
+        for band in self._bands:
             band_buckets: dict[bytes, list[int]] = defaultdict(list)
             for i, signature in enumerate(signatures):
-                band_buckets[signature[lo:hi].tobytes()].append(i)
+                band_buckets[signature[band].tobytes()].append(i)
             buckets.append(dict(band_buckets))
         with span("serve.index.columns", records=len(records), mode=quantize) as sp:
             store = quantize_store(
@@ -142,15 +143,17 @@ class BlockingIndex:
         """A shard of this index restricted to ``member_ids``.
 
         The view **shares the frozen blocker** — centering/whitening and
-        hyperplanes fitted over the *full* reference table — so a query
-        hashes to the same buckets on every shard and the shard candidate
-        sets exactly partition the global candidate set:
-        ``view.candidates(e) == [c for c in self.candidates(e) if c in
-        member_ids]``.  Had each shard fitted its own transform, the hash
-        functions would diverge and scatter-gather answers would depend on
-        the shard count.  Buckets, records and the quantized column store
-        are sliced (rows gathered, empty buckets dropped), so a view costs
-        memory proportional to its members only.
+        hyperplanes fitted over the *full* reference table — so
+        ``view.band_keys(e) == self.band_keys(e)``: a query's band keys,
+        computed once by any view, probe every shard, and the shard
+        candidate sets exactly partition the global candidate set,
+        ``view.candidates(k) == [c for c in self.candidates(k) if c in
+        member_ids]`` for ``k = self.band_keys(e)``.  Had each shard fitted
+        its own transform, the hash functions would diverge and
+        scatter-gather answers would depend on the shard count.  Buckets,
+        records and the quantized column store are sliced (rows gathered,
+        empty buckets dropped), so a view costs memory proportional to its
+        members only.
         """
         if self._buckets is None or self._column_store is None:
             raise RuntimeError("index not built; call build() first")
@@ -161,6 +164,7 @@ class BlockingIndex:
         view = BlockingIndex.__new__(BlockingIndex)
         view.embedder = self.embedder
         view.blocker = self.blocker  # shared frozen transform + hyperplanes
+        view._bands = self._bands
         view._ids = members
         view._records = {i: self._records[i] for i in members}
         local_of = {self._row_of[i]: local for local, i in enumerate(members)}
@@ -202,18 +206,30 @@ class BlockingIndex:
         """
         return self.embedder.embed_many_with_columns(records)
 
-    def candidates(self, embedding: np.ndarray) -> list[str]:
-        """Reference ids colliding with ``embedding`` in at least one band.
+    def band_keys(self, embedding: np.ndarray) -> "list[bytes]":
+        """The bucket key of ``embedding`` in every band, bands in order.
 
-        Returned sorted, so downstream pair assembly (and therefore cache
-        key order and scoring batch layout) is deterministic.
+        One query row is hashed alone: a batched product can differ from
+        the one-row product in the last bits, and a sign near zero would
+        then make a query's candidates depend on its batch-mates.  Every
+        shard view shares the blocker, so any view's keys probe them all.
         """
         if self._buckets is None:
             raise RuntimeError("index not built; call build() first")
         signature = self.blocker.query_signatures(embedding.reshape(1, -1))[0]
+        return [signature[band].tobytes() for band in self._bands]
+
+    def candidates(self, band_keys: "list[bytes]") -> list[str]:
+        """Reference ids sharing at least one of ``band_keys``' buckets.
+
+        Takes :meth:`band_keys`' output.  Returned sorted, so downstream
+        pair assembly (and therefore cache key order and scoring batch
+        layout) is deterministic.
+        """
+        if self._buckets is None:
+            raise RuntimeError("index not built; call build() first")
         found: set[int] = set()
-        for (lo, hi), band_buckets in zip(self.blocker.band_slices(), self._buckets):
-            key = signature[lo:hi].tobytes()
+        for key, band_buckets in zip(band_keys, self._buckets, strict=True):
             found.update(band_buckets.get(key, ()))
         return sorted(map(self._ids.__getitem__, found))
 

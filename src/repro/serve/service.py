@@ -72,7 +72,7 @@ from repro.kernels.score import score_pairs
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.serve.cache import LRUCache, MISSING, CacheStatsView, content_key
 from repro.serve.index import BlockingIndex
-from repro.utils.validation import check_fitted
+from repro.utils.validation import check_fitted, check_non_negative_int, check_positive_int
 
 __all__ = ["BatchReport", "MatchAnswer", "MatchService", "ShardGroup"]
 
@@ -154,14 +154,6 @@ def _embedder_mismatch(embedder, reference) -> "str | None":
     return None
 
 
-def _owner_of(owned) -> "dict[str, int]":
-    """Owning shard per candidate id of the owners' uncached pairs."""
-    owner_of: dict[str, int] = {}
-    for s, pairs in owned:
-        owner_of.update(dict.fromkeys(map(itemgetter(1), pairs), s))
-    return owner_of
-
-
 def _keyed_by_home(keys, home_by_key: dict, record_by_key: dict) -> list:
     """``(key, record)`` lists per home shard: shards ascending, keys in order."""
     batches: dict[int, list] = {}
@@ -220,6 +212,9 @@ class MatchService:
             raise RuntimeError("BlockingIndex must be built before serving")
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+        check_positive_int("jobs", jobs)
+        check_non_negative_int("embedding_cache_size", embedding_cache_size)
+        check_non_negative_int("score_cache_size", score_cache_size)
         if matcher.composer is not None:
             raise ValueError(
                 f"cannot serve matcher: composition {matcher.composition!r} is "
@@ -351,15 +346,18 @@ class MatchService:
     def match_batch(self, records: list[dict[str, object]]) -> BatchReport:
         """Answer a coalesced batch of queries with one scoring call.
 
-        Stages: route distinct keys to home shards → embeddings on each
-        key's home shard → candidate lookup + score-cache consult on
-        every shard → sorted-union merge → :meth:`_score_canonical` →
-        each score written back to the shard owning its pair → answers
-        assembled from this batch's scores.  The score cache is read with
-        one ``get_many`` per shard and written with one ``put_many`` per
-        owning shard; the rest of the bookkeeping runs per key, not per
-        pair.  The topology hooks :meth:`_route`, :meth:`_shard_call` and
-        :meth:`_report` supply routing, per-shard calls and the report.
+        Stages: route distinct keys to home shards → :meth:`_embed_batch`
+        (cache lookups and inserts on each key's home shard, one token
+        pass for the batch) → band keys once per key → candidate lookup +
+        score-cache consult on every shard → sorted-union merge →
+        :meth:`_score_canonical` → each score written back to the shard
+        owning its pair → answers assembled from this batch's scores.  The
+        score cache is read with one ``get_many`` per shard and written
+        with one ``put_many`` per owning shard; the rest of the
+        bookkeeping runs per key, not per pair, and no per-key work is
+        repeated per shard.  The topology hooks :meth:`_route`,
+        :meth:`_shard_call` and :meth:`_report` supply routing, per-shard
+        calls and the report.
         """
         if not records:
             return self._report(BatchReport([], 0, 0, 0), [], [], 0)
@@ -372,42 +370,25 @@ class MatchService:
         distinct = list(dict.fromkeys(keys))
         groups = self.groups
         home_by_key = dict(zip(distinct, self._route(distinct)))
-        failovers = 0
-
-        # Embedding stage: consult the cache once per *distinct* key, on
-        # the key's home shard, then embed the misses in one (possibly
-        # parallel) pass there.  That pass also makes each miss's column
-        # stack, which the column stage of this batch takes.
-        embeddings: dict[str, np.ndarray] = {}
-        fresh_columns: dict[str, np.ndarray] = {}
-        hit_keys: set[str] = set()
-        home_misses = [0] * len(groups)
-        for shard_id, keyed in _keyed_by_home(distinct, home_by_key, record_by_key):
-            (shard_embeddings, shard_hits, shard_columns), used = self._shard_call(
-                groups[shard_id],
-                lambda svc, keyed=keyed: svc.resolve_embeddings(keyed),
-                validate=lambda r, keyed=keyed: (
-                    isinstance(r, tuple) and len(r) == 3
-                    and set(r[0]) == {k for k, _ in keyed}
-                    and set(r[2]) == set(r[0]) - set(r[1])
-                ),
-            )
-            embeddings.update(shard_embeddings)
-            fresh_columns.update(shard_columns)
-            hit_keys |= shard_hits
-            home_misses[shard_id] = len(keyed) - len(shard_hits)
-            failovers += used
+        embeddings, hit_keys, fresh_columns, home_misses, failovers = self._embed_batch(
+            groups, _keyed_by_home(distinct, home_by_key, record_by_key)
+        )
 
         # Candidate + score-cache stage on every shard (each sees every
-        # query; its candidates are the global set ∩ its members).
-        # Answers read this batch's scores, never the cache, so they do
-        # not depend on cache capacity (a 0-capacity cache stores nothing).
+        # query; its candidates are the global set ∩ its members).  Each
+        # key is hashed once, by any shard's view (they share the frozen
+        # blocker), and every shard looks its band keys up in its own
+        # buckets.  Answers read this batch's scores, never the cache, so
+        # they do not depend on cache capacity (a 0-capacity cache
+        # stores nothing).
+        index = groups[0].primary.index
+        band_keys = {key: index.band_keys(embeddings[key]) for key in distinct}
         cached_scores: dict[tuple[str, str], float] = {}
         hits_by_key = dict.fromkeys(distinct, 0)
         candidates_by_shard: list[dict[str, list[str]]] = []
         to_score_by_shard: list[list[tuple[str, str]]] = []
         def consult(svc):
-            local_candidates = svc.candidate_map(embeddings, distinct)
+            local_candidates = svc.candidate_map(band_keys, distinct)
             return local_candidates, svc.consult_scores(local_candidates)
         for group in groups:
             (local_candidates, (local_scores, local_hits, local_to_score)), used = \
@@ -486,6 +467,59 @@ class MatchService:
             predict_calls=1 if probabilities else 0,
         )
         return self._report(report, to_score_by_shard, home_misses, failovers)
+
+    def _embed_batch(self, groups, keyed_by_home):
+        """The embedding stage: every distinct key's embedding, once.
+
+        ``keyed_by_home`` lists each home shard's ``(key, record)`` pairs
+        (shards ascending, keys in order).  Each home shard looks its
+        keys up in its own embedding tier (:meth:`resolve_embeddings`,
+        one shard call each); every home shard's misses then go through
+        one token pass, which also makes their column stacks for this
+        batch's column stage; and each home shard's misses are inserted
+        into its tier in key order.  Every tier sees the same gets, then
+        puts, as when each home shard embedded its own misses, and a
+        record's rows do not depend on the other records in its pass.
+
+        Returns the embedding per key, the keys served from a cache, the
+        misses' column stacks, the misses per shard and the failovers.
+        """
+        embeddings: dict[str, np.ndarray] = {}
+        hit_keys: set[str] = set()
+        missed: list[tuple[int, list]] = []
+        failovers = 0
+        for shard_id, keyed in keyed_by_home:
+            (hits, misses), used = self._shard_call(
+                groups[shard_id],
+                lambda svc, keyed=keyed: svc.resolve_embeddings(keyed),
+                validate=lambda r, keyed=keyed: (
+                    isinstance(r, tuple) and len(r) == 2
+                    and len(r[0]) + len(r[1]) == len(keyed)
+                    and set(r[0]).union(map(itemgetter(0), r[1]))
+                    == set(map(itemgetter(0), keyed))
+                ),
+            )
+            embeddings.update(hits)
+            hit_keys.update(hits)
+            if misses:
+                missed.append((shard_id, misses))
+            failovers += used
+        home_misses = [0] * len(groups)
+        fresh_columns: dict[str, np.ndarray] = {}
+        if missed:
+            vectors, stacks = groups[0].primary.index.embed_queries_with_columns(
+                [record for _, misses in missed for _, record in misses]
+            )
+            start = 0
+            for shard_id, misses in missed:
+                keys = [key for key, _ in misses]
+                rows = list(vectors[start:start + len(keys)])
+                embeddings.update(zip(keys, rows))
+                fresh_columns.update(zip(keys, stacks[start:start + len(keys)]))
+                groups[shard_id].primary.embedding_cache.put_many(keys, rows)
+                home_misses[shard_id] = len(keys)
+                start += len(keys)
+        return embeddings, hit_keys, fresh_columns, home_misses, failovers
 
     def _score_canonical(
         self, groups, owned, uncached_by_key, home_by_key, record_by_key,
@@ -571,21 +605,22 @@ class MatchService:
         )
         return self.score_uncached(query_side, reference_side), failovers
 
-    @staticmethod
-    def _write_back(groups, owned, uncached_by_key, probabilities) -> None:
+    def _write_back(self, groups, owned, uncached_by_key, probabilities) -> None:
         """One ``put_many`` per owner: its pairs, in its consult order.
 
         An owner's consult order is the canonical order restricted to the
         owner's pairs (both run keys in first-occurrence order and ids
         ascending), so its scores are the canonical probabilities whose
-        candidate it owns, in order.
+        candidate it owns, in order.  Several owners only arise on a
+        sharded service, which fixed each reference id's owner when it
+        was built (``_owner_by_id``).
         """
         if len(owned) == 1:
             (s, pairs), = owned
             groups[s].primary.score_cache.put_many(pairs, probabilities)
             return
         owners = np.fromiter(
-            map(_owner_of(owned).__getitem__, chain.from_iterable(uncached_by_key.values())),
+            map(self._owner_by_id.__getitem__, chain.from_iterable(uncached_by_key.values())),
             dtype=np.intp, count=len(probabilities),
         )
         scores = np.array(probabilities)
@@ -623,49 +658,39 @@ class MatchService:
     # ------------------------------------------------------------------ #
     # Each stage is a pure function of its inputs plus this service's
     # cache state, so :meth:`match_batch` can run them shard-by-shard —
-    # embeddings/columns on a query key's home shard, candidate lookup on
-    # every shard — and still merge to byte-identical answers.
+    # embedding and column lookups on a query key's home shard, candidate
+    # lookup on every shard — and still merge to byte-identical answers.
 
     def resolve_embeddings(
         self, keyed_records: "list[tuple[str, dict[str, object]]]"
-    ) -> "tuple[dict[str, np.ndarray], set[str], dict[str, np.ndarray]]":
-        """Cache-aware tuple embeddings for distinct ``(key, record)`` pairs.
+    ) -> "tuple[dict[str, np.ndarray], list[tuple[str, dict[str, object]]]]":
+        """This home shard's embedding-cache lookups for distinct keys.
 
-        Returns the embedding per key, the subset of keys served from the
-        cache, and each miss's column stack.  The misses are embedded by
-        one token pass over the batch that makes both (no ``jobs``
-        fan-out: a process pool per 16-record batch took ~70 ms against
-        ~1 ms serially);
-        the embeddings are inserted here, and the column stacks
-        are left to :meth:`resolve_columns`, which consults and fills the
-        column cache.  Callers must pass each key at most once.
+        One :meth:`LRUCache.get_many` over the keys, in order.  Returns
+        the cached embedding per hit key and the missed ``(key, record)``
+        pairs, in order.  :meth:`match_batch` embeds the misses of every
+        home shard in one token pass (no ``jobs`` fan-out: a process pool
+        per 16-record batch took ~70 ms against ~1 ms serially) and
+        inserts each shard's misses into that shard's tier.  Callers must
+        pass each key at most once.
         """
-        embeddings: dict[str, np.ndarray] = {}
-        hit_keys: set[str] = set()
-        fresh_columns: dict[str, np.ndarray] = {}
-        miss_keys: list[str] = []
-        miss_records: list[dict[str, object]] = []
-        for key, record in keyed_records:
-            cached = self.embedding_cache.get(key)
-            if cached is not MISSING:
-                embeddings[key] = cached
-                hit_keys.add(key)
+        cached = self.embedding_cache.get_many([key for key, _ in keyed_records])
+        hits: dict[str, np.ndarray] = {}
+        misses: list[tuple[str, dict[str, object]]] = []
+        for pair, value in zip(keyed_records, cached):
+            if value is MISSING:
+                misses.append(pair)
             else:
-                miss_keys.append(key)
-                miss_records.append(record)
-        if miss_records:
-            vectors, stacks = self.index.embed_queries_with_columns(miss_records)
-            for key, vector, columns in zip(miss_keys, vectors, stacks):
-                embeddings[key] = vector
-                fresh_columns[key] = columns
-                self.embedding_cache.put(key, vector)
-        return embeddings, hit_keys, fresh_columns
+                hits[pair[0]] = value
+        return hits, misses
 
     def candidate_map(
-        self, embeddings: "dict[str, np.ndarray]", keys: "list[str]"
+        self, band_keys: "dict[str, list[bytes]]", keys: "list[str]"
     ) -> "dict[str, list[str]]":
-        """Deterministic (sorted) candidate ids per query key."""
-        return {key: self.index.candidates(embeddings[key]) for key in keys}
+        """Deterministic (sorted) candidate ids per query key, looked up
+        in this service's index by the key's :meth:`BlockingIndex.
+        band_keys`."""
+        return {key: self.index.candidates(band_keys[key]) for key in keys}
 
     def consult_scores(
         self, candidates_by_key: "dict[str, list[str]]"

@@ -12,8 +12,10 @@ call and the report — and three invariants make the topology invisible:
 
 **Partition, not re-hash.**  Every shard view shares the *global*
 frozen LSH transform (centering/whitening fitted over the full reference
-table — :meth:`BlockingIndex.shard_view`), so a query hashes identically
-on every shard and the per-shard candidate sets exactly partition the
+table — :meth:`BlockingIndex.shard_view`), so a query's band keys are
+the same on every shard: the router hashes each distinct key once
+(:meth:`BlockingIndex.band_keys`), every shard looks those keys up in
+its own buckets, and the per-shard candidate sets exactly partition the
 global candidate set.  The merge is a sorted union of the shard
 candidate lists (ties between equal scores break to the smallest tuple
 id, exactly as in :meth:`MatchService._assemble`), so the merged answer
@@ -21,11 +23,14 @@ is byte-identical for any shard count — ``N = 1`` equals the unsharded
 service equals the offline ``predict_proba``.
 
 **Home-shard routing.**  Each distinct query key's embedding and column
-cache work runs once, on the key's *home* shard (:func:`shard_of_key`);
-score-cache pairs live on the shard owning the candidate.  Every cache
-consult the unsharded service would make happens exactly once somewhere,
-so the per-shard ``serve.cache.shard<i>.*`` counters *sum* to the
-unsharded totals (the metrics tests pin this down).
+cache lookups and inserts run once, on the key's *home* shard
+(:func:`shard_of_key`); the embedding misses of every home shard are
+embedded by one token pass per batch, between the lookups and the
+inserts.  Score-cache pairs live on the shard owning the candidate,
+fixed per reference id at construction.  Every cache consult the
+unsharded service would make happens exactly once somewhere, so the
+per-shard ``serve.cache.shard<i>.*`` counters *sum* to the unsharded
+totals (the metrics tests pin this down).
 
 **Replica failover.**  Each shard group holds ``replicas`` services
 sharing one cache tier.  Every shard call passes through fault site
@@ -54,6 +59,7 @@ from repro.obs.metrics import REGISTRY as _OBS
 from repro.serve.cache import content_key
 from repro.serve.index import BlockingIndex
 from repro.serve.service import BatchReport, MatchService, ShardGroup
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "ShardBatchReport",
@@ -118,8 +124,9 @@ def _keep_faults(name: str) -> bool:
 class ShardedMatchService(MatchService):
     """:class:`MatchService` over N shard replica groups.
 
-    Construction partitions ``index.ids`` by :func:`shard_of_id`, builds
-    one shard view per shard (shared frozen transform), and instantiates
+    Construction partitions ``index.ids`` by :func:`shard_of_id` (the
+    ``{id: shard}`` table stays, for the score write-back), builds one
+    shard view per shard (shared frozen transform), and instantiates
     ``replicas`` :class:`MatchService` per shard — all replicas of a
     shard share one cache tier (scoped ``shard<i>.``), which is what
     makes failover invisible in cache metrics and answers alike.
@@ -144,15 +151,18 @@ class ShardedMatchService(MatchService):
         embedding_cache_size: int = 1024,
         score_cache_size: int = 4096,
     ) -> None:
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
+        check_positive_int("n_shards", n_shards)
+        check_positive_int("replicas", replicas)
         self.n_shards = int(n_shards)
         self.replicas = int(replicas)
+        ids = index.ids
+        owners = [shard_of_id(reference_id, self.n_shards) for reference_id in ids]
+        # Each reference id's owning shard, fixed for the service's life:
+        # the score write-back reads it.
+        self._owner_by_id = dict(zip(ids, owners))
         members: list[list[str]] = [[] for _ in range(self.n_shards)]
-        for reference_id in index.ids:
-            members[shard_of_id(reference_id, self.n_shards)].append(reference_id)
+        for reference_id, shard_id in zip(ids, owners):
+            members[shard_id].append(reference_id)
         groups: list[ShardGroup] = []
         for shard_id, shard_members in enumerate(members):
             view = index.shard_view(shard_members)

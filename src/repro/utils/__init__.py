@@ -7,6 +7,7 @@ from repro.utils.stats import percentile, segment_sums
 from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_fitted,
+    check_non_negative_int,
     check_positive,
     check_positive_int,
     check_probability,
@@ -23,6 +24,7 @@ __all__ = [
     "spawn_rng",
     "Timer",
     "check_fitted",
+    "check_non_negative_int",
     "check_positive",
     "check_positive_int",
     "check_probability",

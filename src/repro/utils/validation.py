@@ -28,10 +28,21 @@ def check_positive_int(name: str, value: Any) -> None:
     Python and numpy integers pass; ``bool``, floats (``2.0`` and NaN
     included) and anything else do not.
     """
+    _check_int(name, value, 1)
+
+
+def check_non_negative_int(name: str, value: Any) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer >= 0, for sizes
+    where 0 means "none" (a disabled cache's capacity); integers as in
+    :func:`check_positive_int`."""
+    _check_int(name, value, 0)
+
+
+def _check_int(name: str, value: Any, minimum: int) -> None:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def check_probability(name: str, value: float) -> None:

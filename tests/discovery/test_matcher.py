@@ -102,6 +102,34 @@ class TestSyntacticMatcher:
         link = matcher.score_columns(table_a, "c", table_b, "c")
         assert link.value_score == 0.5
 
+    @pytest.mark.parametrize("name_weight", [float("nan"), 1.5, -0.2])
+    def test_invalid_name_weight(self, name_weight):
+        with pytest.raises(ValueError, match="name_weight"):
+            SyntacticMatcher(name_weight=name_weight)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_match_tables_equals_per_pair_scoring(self, jobs):
+        """``match_tables`` makes each column's value set once; its links
+        equal scoring every pair alone with ``score_columns``."""
+        table_a = Table(
+            "a", ["full_name", "City", "dept_id"],
+            rows=[["Ann Lee", "Paris", 1], ["bob", None, 2], ["Cy", "paris", float("nan")]],
+        )
+        table_b = Table(
+            "b", ["name", "town", "dept"],
+            rows=[["ann lee", "PARIS", "1"], ["BOB", "Rome", None], ["eve", "", 2]],
+        )
+        matcher = SyntacticMatcher(name_weight=0.4)
+        every_pair = [
+            matcher.score_columns(table_a, column_a, table_b, column_b)
+            for column_a in table_a.columns
+            for column_b in table_b.columns
+        ]
+        want = sorted((l for l in every_pair if l.score >= 0.2), key=lambda l: -l.score)
+        got = matcher.match_tables(table_a, table_b, threshold=0.2, jobs=jobs)
+        assert got == want
+        assert any(0.0 < link.value_score < 1.0 for link in got)
+
 
 class TestEvaluateLinks:
     def test_order_insensitive(self, vector_space):

@@ -6,9 +6,12 @@ import math
 
 import pytest
 
+from repro.data import Table
+from repro.discovery import SyntacticMatcher
 from repro.gateway import (
     BackpressureValve,
     DeficitRoundRobin,
+    DiscoverRouter,
     Gateway,
     GatewayConfig,
     GatewayRequest,
@@ -263,6 +266,12 @@ class TestValidationMessages:
             GatewayConfig(max_batch_size=math.nan)
         with pytest.raises(ValueError, match=r"max_batch_size must be an integer, got 2.5"):
             GatewayConfig(max_batch_size=2.5)
+
+    @pytest.mark.parametrize("bad", [1.5, True, 0])
+    def test_discover_router_jobs_must_be_a_positive_integer(self, bad):
+        """``jobs=1.5`` and ``jobs=True`` used to run with one process."""
+        with pytest.raises(ValueError, match="jobs must be"):
+            DiscoverRouter(SyntacticMatcher(), Table("ref", ["a"], [["x"]]), jobs=bad)
 
     def test_route_cost_message(self):
         with pytest.raises(ValueError, match=r"route cost terms must be >= 0"):

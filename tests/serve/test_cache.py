@@ -94,6 +94,11 @@ class TestLRUCache:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
             LRUCache(-1)
+        # Fractions and bools used to be truncated (2.5 held 2 entries,
+        # True one) and NaN failed inside int().
+        for bad in (2.5, True, float("nan"), "4"):
+            with pytest.raises(ValueError, match="capacity must be an integer"):
+                LRUCache(bad)
 
     def test_peek_has_no_side_effects(self):
         cache = LRUCache(2)

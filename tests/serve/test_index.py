@@ -22,7 +22,7 @@ class TestBuild:
         index = BlockingIndex(trained_matcher.embedder, rng=0)
         assert not index.built
         with pytest.raises(RuntimeError, match="not built"):
-            index.candidates(np.zeros(trained_matcher.embedder.dim))
+            index.candidates(index.band_keys(np.zeros(trained_matcher.embedder.dim)))
 
     def test_build_marks_built_and_len(self, built_index, reference_records):
         records, _ = reference_records
@@ -40,7 +40,9 @@ class TestBuild:
         ).build(records, ids, jobs=2)
         queries = serial.embed_queries(query_records[:10])
         for embedding in queries:
-            assert serial.candidates(embedding) == parallel.candidates(embedding)
+            assert serial.candidates(serial.band_keys(embedding)) == parallel.candidates(
+                parallel.band_keys(embedding)
+            )
 
 
 class TestProbe:
@@ -48,7 +50,7 @@ class TestProbe:
         embeddings = built_index.embed_queries(query_records[:20])
         any_candidates = False
         for embedding in embeddings:
-            candidates = built_index.candidates(embedding)
+            candidates = built_index.candidates(built_index.band_keys(embedding))
             assert candidates == sorted(candidates)
             for candidate_id in candidates:
                 assert built_index.record(candidate_id) is not None
@@ -60,7 +62,9 @@ class TestProbe:
         alone = built_index.embed_queries(query_records[:1])
         grouped = built_index.embed_queries(query_records[:7])
         assert np.array_equal(alone[0], grouped[0])
-        assert built_index.candidates(alone[0]) == built_index.candidates(grouped[0])
+        assert built_index.candidates(built_index.band_keys(alone[0])) == built_index.candidates(
+            built_index.band_keys(grouped[0])
+        )
 
     def test_reference_row_usually_among_own_candidates(
         self, built_index, reference_records
@@ -69,7 +73,8 @@ class TestProbe:
         records, ids = reference_records
         embeddings = built_index.embed_queries(records[:15])
         found = sum(
-            str(ids[i]) in built_index.candidates(embeddings[i]) for i in range(15)
+            str(ids[i]) in built_index.candidates(built_index.band_keys(embeddings[i]))
+            for i in range(15)
         )
         assert found >= 14  # identical signature ⇒ same bucket in every band
 

@@ -38,6 +38,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="threshold"):
             MatchService(trained_matcher, built_index, threshold=1.5)
 
+    @pytest.mark.parametrize("name,bad", [
+        ("embedding_cache_size", 10.7),
+        ("embedding_cache_size", -1),
+        ("score_cache_size", 10.7),
+        ("score_cache_size", True),
+        ("jobs", 1.5),
+        ("jobs", 0),
+    ])
+    def test_sizes_and_jobs_must_be_integers(self, trained_matcher, built_index, name, bad):
+        """A fractional size used to be truncated (10.7 held 10 scores)."""
+        with pytest.raises(ValueError, match=name):
+            MatchService(trained_matcher, built_index, **{name: bad})
+
     @pytest.mark.parametrize("composition", ["lstm", "cnn"])
     @pytest.mark.parametrize("build", [
         lambda matcher, index: MatchService(matcher, index, jobs=1),
@@ -145,7 +158,7 @@ class TestAnswers:
         compared = 0
         for record, answer in zip(batch, answers):
             embedding = service.index.embed_queries([record])[0]
-            candidate_ids = service.index.candidates(embedding)
+            candidate_ids = service.index.candidates(service.index.band_keys(embedding))
             assert tuple(candidate_ids) == answer.candidates
             if not candidate_ids:
                 assert answer.best_id is None
@@ -474,7 +487,7 @@ class TestAnswerCacheFields:
             ):
                 key = content_key(record)
                 home = groups[shard_of_key(key, n) if n_shards else 0].primary
-                candidates = built_index.candidates(embedding)
+                candidates = built_index.candidates(built_index.band_keys(embedding))
                 expected.append((
                     tuple(candidates),
                     home.embedding_cache.peek(key) is not MISSING,

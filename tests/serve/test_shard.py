@@ -72,10 +72,12 @@ class TestRouting:
         )
         embeddings = built_index.embed_queries(query_records[:10])
         for record, embedding in zip(query_records[:10], embeddings):
-            global_candidates = built_index.candidates(embedding)
+            global_candidates = built_index.candidates(built_index.band_keys(embedding))
             gathered = []
             for group in service.groups:
-                local = group.primary.index.candidates(embedding)
+                local = group.primary.index.candidates(
+                    group.primary.index.band_keys(embedding)
+                )
                 members = set(group.primary.index.ids)
                 assert set(local) == set(global_candidates) & members
                 gathered.extend(local)
@@ -115,7 +117,7 @@ class TestShardInvariance:
         )
         for record, answer in zip(batch, sharded.match_batch(batch).answers):
             embedding = built_index.embed_queries([record])[0]
-            candidates = built_index.candidates(embedding)
+            candidates = built_index.candidates(built_index.band_keys(embedding))
             assert list(answer.candidates) == candidates
             if not candidates:
                 assert answer.best_id is None
@@ -364,6 +366,18 @@ class TestConstruction:
             ShardedMatchService(
                 trained_matcher, built_index, n_shards=2, replicas=0
             )
+        # Fractions and bools used to be truncated: 2.5 built 2 shards,
+        # True and 1.9 one replica.
+        for bad in (2.5, True, float("nan")):
+            with pytest.raises(ValueError, match="n_shards must be an integer"):
+                ShardedMatchService(trained_matcher, built_index, n_shards=bad)
+        for bad in (True, 1.9):
+            with pytest.raises(ValueError, match="replicas must be an integer"):
+                ShardedMatchService(
+                    trained_matcher, built_index, n_shards=2, replicas=bad
+                )
+        with pytest.raises(ValueError, match="jobs must be an integer"):
+            ShardedMatchService(trained_matcher, built_index, n_shards=2, jobs=1.5)
 
     def test_shard_view_requires_known_ids(self, built_index):
         with pytest.raises(KeyError):

@@ -127,15 +127,16 @@ class TestFailover:
         assert faulted == baseline
 
     @pytest.mark.parametrize("corrupt", [
-        lambda r: (r[0], r[1], {}),                            # stacks dropped
-        lambda r: (r[0], r[1], {**r[2], "stray": None}),       # a stray key
+        lambda r: (r[0], []),                                  # misses dropped
+        lambda r: ({**r[0], "stray": None}, r[1]),             # a stray key
     ])
     def test_corrupted_fresh_column_map_is_detected(
         self, corrupt, trained_matcher, built_index, batch, baseline
     ):
-        """The embedding stage's column stacks must cover exactly that
-        shard's misses; hit 0 is the first home shard's embedding call,
-        where every key of a cold batch misses."""
+        """The embedding stage's lookup must split exactly that shard's
+        keys into hits and misses, the misses whose fresh column stacks
+        the batch's one token pass makes; hit 0 is the first home
+        shard's embedding call, where every key of a cold batch misses."""
         plan = FaultPlan([Fault("serve.shard.query", "corrupt", hits=(0,), corrupt=corrupt)])
         with plan:
             report = fresh(trained_matcher, built_index).match_batch(batch)

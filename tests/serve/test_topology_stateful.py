@@ -66,7 +66,7 @@ def test_topologies_agree_through_evictions_and_swaps(
     # pool record, per matcher — no caches, shards or batching involved.
     pool = query_records[:POOL]
     candidates = [
-        built_index.candidates(embedding)
+        built_index.candidates(built_index.band_keys(embedding))
         for embedding in built_index.embed_queries(pool)
     ]
     offline = {
