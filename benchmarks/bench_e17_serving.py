@@ -37,16 +37,8 @@ import hashlib
 import json
 from functools import lru_cache
 
-from benchmarks.common import (
-    benchmark_split,
-    format_table,
-    profile_config,
-    profile_embeddings,
-    records_and_ids,
-)
-from repro.er import DeepER
+from benchmarks.common import ServedStack, format_table, profile_config, served_stack
 from repro.serve import (
-    BlockingIndex,
     MatchService,
     ServerConfig,
     ShardedMatchService,
@@ -91,26 +83,13 @@ _P = {
 
 
 @lru_cache(maxsize=2)
-def _setup(profile: str):
-    """Trained matcher + built index + query records, cached per profile.
-
-    The index is always built with ``jobs=1`` here; by the :mod:`repro.par`
-    contract a parallel build is bit-identical, and caching one build keeps
-    repeated in-process runs (the determinism tests) cheap.  ``jobs`` still
-    exercises the parallel path at serve time via the service.
+def _setup(profile: str) -> ServedStack:
+    """The served stack, fitted on every training triple, cached per
+    profile: caching one build keeps repeated in-process runs (the
+    determinism tests) cheap.  ``jobs`` still exercises the parallel
+    path at serve time via the service.
     """
-    cfg = profile_config(_P, profile)
-    bench, model, subword = profile_embeddings("citations", profile)
-    train, _, _ = benchmark_split(bench)
-    matcher = DeepER(
-        model, bench.compare_columns, composition="sif",
-        vector_fn=subword.vector, rng=0,
-    ).fit(train, epochs=cfg["epochs"])
-    records_a, ids_a, records_b, _ = records_and_ids(bench)
-    index = BlockingIndex(
-        matcher.embedder, n_bits=32, n_bands=8, rng=0
-    ).build(records_a, ids_a, jobs=1)
-    return matcher, index, records_b
+    return served_stack(profile, epochs=profile_config(_P, profile)["epochs"])
 
 
 def _scenario_row(name: str, service: MatchService, queries, server: ServerConfig) -> dict:
@@ -196,7 +175,8 @@ def _shard_sweep_rows(matcher, index, records_b, cfg, jobs: int) -> list[dict]:
 
 def run_experiment(profile: str = "full", jobs: int = 1) -> list[dict]:
     cfg = profile_config(_P, profile)
-    matcher, index, records_b = _setup(profile)
+    stack = _setup(profile)
+    matcher, index, records_b = stack.matcher, stack.index, stack.records_b
 
     base = generate_workload(records_b, WorkloadConfig(
         n_queries=cfg["n_queries"], rate=cfg["rate"],

@@ -30,21 +30,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from benchmarks.common import (
-    benchmark_split,
-    format_table,
-    profile_config,
-    profile_embeddings,
-    records_and_ids,
-)
-from repro.er import DeepER
+from benchmarks.common import ServedStack, format_table, profile_config, served_stack
 from repro.loop import ContinuousCurationLoop, CrowdOracle, LoopConfig
-from repro.serve import (
-    BlockingIndex,
-    MatchService,
-    ServerConfig,
-    ShardedMatchService,
-)
+from repro.serve import MatchService, ServerConfig, ShardedMatchService
 
 _P = {
     "full": dict(
@@ -93,8 +81,10 @@ _P = {
 
 
 @lru_cache(maxsize=2)
-def _setup(profile: str):
-    """Shared read-only assets: benchmark, seed matcher, index, eval set.
+def _setup(profile: str) -> ServedStack:
+    """Shared read-only assets: the served stack with its matcher fitted
+    on the first ``seed_train`` training triples (the seed labels), plus
+    its factory and eval set.
 
     Everything here is reused across scenarios and repeat runs — safe
     because the loop never mutates them: candidates are fresh objects,
@@ -103,28 +93,12 @@ def _setup(profile: str):
     inside :func:`run_experiment`.
     """
     cfg = profile_config(_P, profile)
-    bench, model, subword = profile_embeddings("citations", profile)
-    train, test_pairs, test_labels = benchmark_split(bench)
-    seed_labels = train[: cfg["seed_train"]]
-
-    def factory(seed: int) -> DeepER:
-        return DeepER(
-            model, bench.compare_columns, composition="sif",
-            vector_fn=subword.vector, rng=seed,
-        )
-
-    seed_matcher = factory(0).fit(seed_labels, epochs=cfg["seed_epochs"])
-    records_a, ids_a, records_b, _ = records_and_ids(bench)
-    index = BlockingIndex(
-        seed_matcher.embedder, n_bits=32, n_bands=8, rng=0
-    ).build(records_a, ids_a, jobs=1)
-    return bench, factory, seed_matcher, index, records_b, \
-        seed_labels, test_pairs, test_labels
+    return served_stack(profile, epochs=cfg["seed_epochs"], seed_train=cfg["seed_train"])
 
 
-def _run_loop(scenario: str, service, setup, cfg, jobs: int) -> list[dict]:
+def _run_loop(scenario: str, service, stack: ServedStack, cfg, jobs: int) -> list[dict]:
     """One full loop run; returns its day rows tagged with ``scenario``."""
-    bench, factory, _, index, records_b, seed_labels, test_pairs, test_labels = setup
+    bench = stack.bench
     id_column = bench.id_column
 
     def truth(entry) -> int:
@@ -132,13 +106,13 @@ def _run_loop(scenario: str, service, setup, cfg, jobs: int) -> list[dict]:
 
     loop = ContinuousCurationLoop(
         service,
-        index=index,
-        matcher_factory=factory,
-        seed_labels=seed_labels,
-        eval_pairs=test_pairs,
-        eval_labels=test_labels,
+        index=stack.index,
+        matcher_factory=stack.factory,
+        seed_labels=stack.labels,
+        eval_pairs=stack.test_pairs,
+        eval_labels=stack.test_labels,
         oracle=CrowdOracle(truth, seed=cfg["crowd_seed"]),
-        query_records=records_b,
+        query_records=stack.records_b,
         config=LoopConfig(
             days=cfg["days"],
             queries_per_day=cfg["n_queries"],
@@ -167,8 +141,8 @@ def _run_loop(scenario: str, service, setup, cfg, jobs: int) -> list[dict]:
 
 def run_experiment(profile: str = "full", jobs: int = 1) -> list[dict]:
     cfg = profile_config(_P, profile)
-    setup = _setup(profile)
-    _, _, seed_matcher, index, _, _, _, _ = setup
+    stack = _setup(profile)
+    seed_matcher, index = stack.matcher, stack.index
 
     unsharded = MatchService(
         seed_matcher, index, jobs=jobs,
@@ -181,8 +155,8 @@ def run_experiment(profile: str = "full", jobs: int = 1) -> list[dict]:
         score_cache_size=cfg["score_cache"],
     )
     return (
-        _run_loop("loop (unsharded)", unsharded, setup, cfg, jobs)
-        + _run_loop(f"loop (sharded N={cfg['shards']})", sharded, setup, cfg, jobs)
+        _run_loop("loop (unsharded)", unsharded, stack, cfg, jobs)
+        + _run_loop(f"loop (sharded N={cfg['shards']})", sharded, stack, cfg, jobs)
     )
 
 

@@ -43,18 +43,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from benchmarks.common import (
-    benchmark_split,
-    format_table,
-    profile_config,
-    profile_embeddings,
-    records_and_ids,
-)
+from benchmarks.common import format_table, profile_config, served_stack
 from repro.cleaning.repair import FDRepairer
 from repro.data.dependencies import FunctionalDependency
 from repro.data.table import Table
 from repro.discovery.matcher import SyntacticMatcher
-from repro.er import DeepER
 from repro.gateway import (
     CleanRouter,
     DiscoverRouter,
@@ -64,7 +57,7 @@ from repro.gateway import (
     RequestStream,
     generate_requests,
 )
-from repro.serve import BlockingIndex, MatchService
+from repro.serve import MatchService
 
 _P = {
     "full": dict(
@@ -173,25 +166,15 @@ def _probe_table(probe_id: int) -> Table:
 def _setup(profile: str):
     """Trained matcher + built index + payload pools, cached per profile.
 
-    Mirrors E17's setup (same citations benchmark, same index build); the
+    The served stack fitted on every training triple, as in E17; the
     clean/discover payload pools are deterministic synthetic tables, so
     the whole setup is a pure function of the profile.
     """
-    cfg = profile_config(_P, profile)
-    bench, model, subword = profile_embeddings("citations", profile)
-    train, _, _ = benchmark_split(bench)
-    matcher = DeepER(
-        model, bench.compare_columns, composition="sif",
-        vector_fn=subword.vector, rng=0,
-    ).fit(train, epochs=cfg["epochs"])
-    records_a, ids_a, records_b, _ = records_and_ids(bench)
-    index = BlockingIndex(
-        matcher.embedder, n_bits=32, n_bands=8, rng=0
-    ).build(records_a, ids_a, jobs=1)
-    match_payloads = tuple({"record": record} for record in records_b)
+    stack = served_stack(profile, epochs=profile_config(_P, profile)["epochs"])
+    match_payloads = tuple({"record": record} for record in stack.records_b)
     clean_payloads = tuple({"table": _dirty_slice(i)} for i in range(4))
     probe_payloads = tuple({"table": _probe_table(i)} for i in range(3))
-    return matcher, index, match_payloads, clean_payloads, probe_payloads
+    return stack.matcher, stack.index, match_payloads, clean_payloads, probe_payloads
 
 
 def _gateway(matcher, index, cfg, config: GatewayConfig, jobs: int) -> Gateway:

@@ -10,8 +10,7 @@ The ``pair scoring`` rows are the before/after pair for the
 :mod:`repro.kernels` rewrite: the same DeepER featurisation over the
 same 200 pairs, once through the per-pair loop reference
 (:func:`repro.kernels.reference._pair_feature_row`) and once through the
-batched matmul path — plus the int8 quantized-store gather feeding
-:func:`repro.kernels.pair_feature_matrix` directly.
+batched matmul path.
 These measurements calibrate the kernel cost model in
 ``bench_e17_serving``.
 
@@ -69,7 +68,7 @@ from repro.data import FunctionalDependency, Table
 from repro.embeddings import TupleEmbedder
 from repro.er import DeepER, LSHBlocker, pair_features
 from repro.gateway import CleanRouter, GatewayRequest
-from repro.kernels import PairSide, pair_feature_matrix, quantize
+from repro.kernels import PairSide, pair_feature_matrix
 from repro.kernels.reference import _pair_feature_row
 from repro.nn import Adam, LSTM, Tensor, bce_with_logits, mlp
 from repro.serve import BlockingIndex, ShardedMatchService
@@ -233,31 +232,6 @@ def test_micro_pair_scoring_kernel(benchmark, scoring_setup):
     assert np.array_equal(features, _loop_features(pairs, matcher.embedder))
 
 
-def test_micro_quantized_gather_features(benchmark, scoring_setup):
-    """int8 store gather + batched featurisation for 200 pairs.
-
-    The serving shape with a quantized index: reference columns are
-    dequantized rows gathered from the int8 store, query columns come in
-    float; one `pair_feature_matrix` call scores the whole batch.
-    """
-    matcher, pairs = scoring_setup
-    embedder = matcher.embedder
-    uniques = {id(r): r for r, _ in pairs} | {id(r): r for _, r in pairs}
-    stack = np.array([embedder.embed_columns(r) for r in uniques.values()])
-    row_of = {key: row for row, key in enumerate(uniques)}
-    store = quantize(stack, "int8")
-    u_rows = np.array([row_of[id(a)] for a, _ in pairs], dtype=np.intp)
-    v_rows = np.array([row_of[id(b)] for _, b in pairs], dtype=np.intp)
-    u_cols = stack[u_rows]
-
-    def run():
-        return pair_feature_matrix(u_cols, store.rows(v_rows))
-
-    features = benchmark(run)
-    assert features.shape[0] == 200
-    assert store.nbytes < stack.nbytes
-
-
 class _RowsEmbedder:
     """A record is a ``(rows, i)`` handle; its column stack is ``rows[i]``."""
 
@@ -273,13 +247,13 @@ def serving_batch():
     (1,015 pairs) over a 155-row store, in canonical (query-major) order."""
     gen = np.random.default_rng(17)
     queries = gen.normal(size=(16, 3, 40))
-    store = quantize(gen.normal(size=(155, 3, 40)), "none")
+    store = gen.normal(size=(155, 3, 40))
     query_index = np.repeat(np.arange(16), 64)[:1015]
     reference_index = np.concatenate(
         [np.sort(gen.choice(155, size=64, replace=False)) for _ in range(16)]
     )[:1015]
     loop = np.array([
-        _pair_feature_row(((queries, q), (store.codes, r)), _RowsEmbedder)
+        _pair_feature_row(((queries, q), (store, r)), _RowsEmbedder)
         for q, r in zip(query_index, reference_index)
     ])
     return queries, store, query_index, reference_index, loop
@@ -294,7 +268,7 @@ def test_micro_serving_features(benchmark, serving_batch):
         local = [place.setdefault(int(r), len(place)) for r in reference_index]
         return pair_feature_matrix(
             PairSide(queries, query_index),
-            PairSide(store.rows(np.array(list(place))), np.array(local)),
+            PairSide(store[list(place)], np.array(local)),
         )
 
     features = benchmark(run)
@@ -309,7 +283,7 @@ def test_micro_serving_features_per_pair(benchmark, serving_batch):
 
     def run():
         u_cols = np.array([query_list[q] for q in query_index])
-        return pair_feature_matrix(u_cols, store.rows(reference_index))
+        return pair_feature_matrix(u_cols, store[reference_index])
 
     features = benchmark(run)
     assert np.array_equal(features, loop)

@@ -14,13 +14,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.data import EMBenchmark, World, citations_benchmark, products_benchmark, restaurants_benchmark
 from repro.embeddings import tuple_documents
+from repro.er import DeepER
 from repro.obs.bench import build_record, write_record
 from repro.obs.trace import Span
+from repro.serve import BlockingIndex
 from repro.text import SkipGram, SubwordEmbeddings
 
 PROFILES = ("full", "smoke")
@@ -155,3 +158,49 @@ def records_and_ids(bench: EMBenchmark):
     ids_a = [str(v) for v in bench.table_a.column(bench.id_column)]
     ids_b = [str(v) for v in bench.table_b.column(bench.id_column)]
     return records_a, ids_a, records_b, ids_b
+
+
+class ServedStack(NamedTuple):
+    """What :func:`served_stack` builds: the matcher, its index and the
+    data around them."""
+
+    bench: EMBenchmark
+    factory: Callable[[int], DeepER]  # an unfitted matcher per seed
+    matcher: DeepER
+    index: BlockingIndex
+    records_b: list
+    labels: list  # the (a, b, y) triples the matcher fitted on
+    test_pairs: list
+    test_labels: np.ndarray
+
+
+def served_stack(profile: str, *, epochs: int, seed_train: int | None = None) -> ServedStack:
+    """The stack E17, E18 and E19 serve, at ``profile``'s sizes.
+
+    A SIF DeepER (seed 0) with subword back-off over the profile's
+    citations embeddings, fitted for ``epochs`` on the first
+    ``seed_train`` training triples (all of them by default), and a
+    32-bit, 8-band LSH index over table A built with ``jobs=1``: by the
+    :mod:`repro.par` contract a parallel build is bit-identical.
+
+    Not cached here: each experiment caches its own, so what one
+    experiment trains and counts never depends on what ran before it.
+    """
+    bench, model, subword = profile_embeddings("citations", profile)
+    train, test_pairs, test_labels = benchmark_split(bench)
+    labels = train[:seed_train]
+
+    def factory(seed: int) -> DeepER:
+        return DeepER(
+            model, bench.compare_columns, composition="sif",
+            vector_fn=subword.vector, rng=seed,
+        )
+
+    matcher = factory(0).fit(labels, epochs=epochs)
+    records_a, ids_a, records_b, _ = records_and_ids(bench)
+    index = BlockingIndex(
+        matcher.embedder, n_bits=32, n_bands=8, rng=0
+    ).build(records_a, ids_a, jobs=1)
+    return ServedStack(
+        bench, factory, matcher, index, records_b, labels, test_pairs, test_labels
+    )

@@ -22,8 +22,8 @@ The package is organised by the paper's roadmap:
 * :mod:`repro.orchestration` — the Figure-1 pipeline, composed end to end;
 * :mod:`repro.serve` — deterministic online serving (micro-batching,
   caching, admission control) for ER match queries on a simulated clock;
-* :mod:`repro.kernels` — batched matrix-op scoring kernels and quantized
-  embedding stores, differentially proven against the per-pair loops;
+* :mod:`repro.kernels` — batched matrix-op scoring kernels, differentially
+  proven against the per-pair loops;
 * :mod:`repro.loop` — the continuous-curation loop: serving feedback →
   weak-supervision labels → background retrain → versioned registry →
   shadow scoring → deterministic promotion → hot swap;

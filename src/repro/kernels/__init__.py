@@ -12,10 +12,7 @@ per micro-batch, **provably** equivalent to the loops it replaces:
   content-keyed deduplication so repeated tuples are composed once and
   per-row terms (norms, unit vectors) computed once per distinct row;
 * :mod:`repro.kernels.score` — one classifier forward + sigmoid per
-  batch, matching ``DeepER.predict_proba`` digit for digit;
-* :mod:`repro.kernels.quant` — int8/float16 quantized embedding stores
-  with power-of-two scales (exact dequantize arithmetic, stated error
-  bound, idempotent round-trip, PYTHONHASHSEED-proof content keys).
+  batch, matching ``DeepER.predict_proba`` digit for digit.
 
 The differential test tier under ``tests/kernels/`` enforces the
 equivalence claims against the loop references in
@@ -31,16 +28,12 @@ from repro.kernels.features import (
     pair_feature_matrix,
     unique_column_stack,
 )
-from repro.kernels.quant import MODES, QuantizedStore, quantize
 from repro.kernels.score import score_pairs, sigmoid
 
 __all__ = [
-    "MODES",
     "PairSide",
-    "QuantizedStore",
     "compose_pair_features",
     "pair_feature_matrix",
-    "quantize",
     "score_pairs",
     "sigmoid",
     "unique_column_stack",

@@ -34,7 +34,7 @@ operations in the same order:
 The differential tier (``tests/kernels/``) asserts this equivalence over
 batch sizes 1/2/7/32/1000, empty input, duplicate pairs and ``bulk``'s
 shape (16 query rows over a 155-row store, zero-norm rows on both
-sides, an ``int8`` store); any numpy change that breaks the assumption
+sides); any numpy change that breaks the assumption
 fails loudly there.
 
 Deduplicated composition

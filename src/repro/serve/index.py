@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.embeddings.compose import TupleEmbedder
 from repro.er.blocking import LSHBlocker
-from repro.kernels.quant import MODES, QuantizedStore, quantize as quantize_store
 from repro.obs.trace import span
 # ``pmap`` stays a module attribute: wallbench's ``--trace`` wraps it by name.
 from repro.par import pmap, pmap_chunks  # noqa: F401
@@ -60,7 +59,7 @@ class BlockingIndex:
         self._records: dict[str, dict[str, object]] = {}
         self._buckets: list[dict[bytes, list[int]]] | None = None
         self._bands = [slice(lo, hi) for lo, hi in self.blocker.band_slices()]
-        self._column_store: QuantizedStore | None = None
+        self._column_store: np.ndarray | None = None
         self._row_of: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -73,19 +72,14 @@ class BlockingIndex:
         ids: list[str],
         *,
         jobs: int = 1,
-        quantize: str = "none",
     ) -> "BlockingIndex":
         """Embed, transform and bucket the reference table.
 
         Besides the LSH buckets, build precomputes the reference side of
-        the scoring kernels: a ``(records, columns, dim)`` stack of
-        per-attribute embeddings (made by the same token pass as each
-        record's tuple embedding), stored as a :class:`~repro.kernels.quant.
-        QuantizedStore` in ``quantize`` mode (``"none"`` — bit-exact
-        float64, the default — or ``"float16"`` / ``"int8"`` for a smaller
-        shard with the bounded error documented in :mod:`repro.kernels.
-        quant`).  Serving gathers candidate rows from this store instead
-        of re-embedding the candidate per pair.
+        the scoring kernels: a read-only float64 ``(records, columns,
+        dim)`` stack of per-attribute embeddings, made by the same token
+        pass as each record's tuple embedding, from which serving gathers
+        candidate rows.  Ids are compared as strings; a repeat is refused.
 
         ``jobs`` fans the reference embedding out over
         :func:`repro.par.pmap_chunks`, one token pass per slice of records
@@ -98,8 +92,8 @@ class BlockingIndex:
             )
         if not records:
             raise ValueError("cannot build an index over zero records")
-        if quantize not in MODES:
-            raise ValueError(f"quantize must be one of {MODES}, got {quantize!r}")
+        keys = [str(i) for i in ids]
+        row_of = _rows_by_id(keys)
         parts = pmap_chunks(
             self.embedder.embed_many_with_columns,
             records,
@@ -115,16 +109,15 @@ class BlockingIndex:
             for i, signature in enumerate(signatures):
                 band_buckets[signature[band].tobytes()].append(i)
             buckets.append(dict(band_buckets))
-        with span("serve.index.columns", records=len(records), mode=quantize) as sp:
-            store = quantize_store(
-                np.concatenate([stacks for _, stacks in parts]), mode=quantize
-            )
+        with span("serve.index.columns", records=len(records)) as sp:
+            store = np.concatenate([stacks for _, stacks in parts])
+            store.flags.writeable = False
             sp.meta["nbytes"] = store.nbytes
-        self._ids = [str(i) for i in ids]
-        self._records = {str(i): r for i, r in zip(ids, records)}
+        self._ids = keys
+        self._records = dict(zip(keys, records))
         self._buckets = buckets
         self._column_store = store
-        self._row_of = {str(i): row for row, i in enumerate(ids)}
+        self._row_of = row_of
         return self
 
     @property
@@ -151,9 +144,9 @@ class BlockingIndex:
         member_ids]`` for ``k = self.band_keys(e)``.  Had each shard fitted
         its own transform, the hash functions would diverge and
         scatter-gather answers would depend on the shard count.  Buckets,
-        records and the quantized column store are sliced (rows gathered,
-        empty buckets dropped), so a view costs memory proportional to its
-        members only.
+        records and the read-only column store are sliced (rows gathered,
+        empty buckets dropped; a repeated member is refused), so a view
+        costs memory proportional to its members only.
         """
         if self._buckets is None or self._column_store is None:
             raise RuntimeError("index not built; call build() first")
@@ -161,6 +154,7 @@ class BlockingIndex:
         unknown = [i for i in members if i not in self._row_of]
         if unknown:
             raise KeyError(f"ids not in index: {unknown[:3]}")
+        row_of = _rows_by_id(members)
         view = BlockingIndex.__new__(BlockingIndex)
         view.embedder = self.embedder
         view.blocker = self.blocker  # shared frozen transform + hyperplanes
@@ -176,12 +170,9 @@ class BlockingIndex:
             }
             for band_buckets in self._buckets
         ]
-        store = self._column_store
-        rows = np.array([self._row_of[i] for i in members], dtype=np.intp)
-        view._column_store = QuantizedStore(
-            mode=store.mode, codes=store.codes[rows], scales=store.scales[rows]
-        )
-        view._row_of = {i: local for local, i in enumerate(members)}
+        view._column_store = self._column_store[[self._row_of[i] for i in members]]
+        view._column_store.flags.writeable = False
+        view._row_of = row_of
         return view
 
     # ------------------------------------------------------------------ #
@@ -242,27 +233,22 @@ class BlockingIndex:
     # ------------------------------------------------------------------ #
 
     @property
-    def column_store(self) -> QuantizedStore:
-        """The precomputed reference ``(records, columns, dim)`` store."""
+    def column_store(self) -> np.ndarray:
+        """The read-only float64 reference ``(records, columns, dim)`` store."""
         if self._column_store is None:
             raise RuntimeError("index not built; call build() first")
         return self._column_store
 
-    @property
-    def quantization(self) -> str:
-        """Quantization mode the reference column store was built with."""
-        return self.column_store.mode
-
     def column_rows(self, reference_ids: list[str]) -> np.ndarray:
-        """Dequantized ``(len(ids), columns, dim)`` gather from the store.
+        """A fresh ``(len(ids), columns, dim)`` gather from the store, each
+        row bit-identical to ``embedder.embed_columns(record)``."""
+        return self.column_store[[self._row_of[str(i)] for i in reference_ids]]
 
-        In ``"none"`` mode the rows are bit-identical to
-        ``embedder.embed_columns(record)`` — the serving kernels stay
-        differentially equal to the offline loop; quantized modes trade
-        that exactness for the documented elementwise error bound.
-        """
-        store = self.column_store
-        if not reference_ids:
-            return np.zeros((0,) + store.shape[1:])
-        rows = np.array([self._row_of[str(i)] for i in reference_ids], dtype=np.intp)
-        return store.rows(rows)
+
+def _rows_by_id(ids: "list[str]") -> "dict[str, int]":
+    """``{id: position}`` over ``ids``; ValueError names the first repeated id."""
+    row_of = {i: row for row, i in enumerate(ids)}
+    if len(row_of) < len(ids):
+        repeat = next(i for row, i in enumerate(ids) if row_of[i] != row)
+        raise ValueError(f"duplicate reference id {repeat!r}")
+    return row_of

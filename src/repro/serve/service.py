@@ -759,8 +759,7 @@ class MatchService:
         Takes the query and reference sides as
         :class:`~repro.kernels.features.PairSide` values of shape
         ``(pairs, columns, dim)``: one classifier forward, bit-identical
-        to ``predict_proba`` with an unquantized store.  Returns the
-        probabilities in pair order.
+        to ``predict_proba``.  Returns the probabilities in pair order.
         """
         n_pairs = len(query_side)
         probabilities = retry_call(

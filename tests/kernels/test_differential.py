@@ -21,7 +21,6 @@ from repro.kernels import (
     PairSide,
     compose_pair_features,
     pair_feature_matrix,
-    quantize,
     score_pairs,
 )
 from repro.kernels.reference import _pair_feature_row, loop_match_batch
@@ -168,19 +167,21 @@ class TestPerRowTerms:
 
     COLUMNS, DIM = 3, 40  # citations' compare columns, wallbench's dim
 
-    @pytest.fixture(params=["none", "int8"])
-    def batch(self, request):
+    # One arm, ``none``: the store as an index keeps it, unrounded
+    # float64 rows behind a read-only flag.
+    @pytest.fixture(params=["none"])
+    def batch(self):
         gen = np.random.default_rng(5)
         queries = gen.normal(size=(16, self.COLUMNS, self.DIM))
-        store_rows = gen.normal(size=(155, self.COLUMNS, self.DIM))
+        store = gen.normal(size=(155, self.COLUMNS, self.DIM))
         queries[3] = 0.0                 # a zero row
         queries[5, 2] = 0.0              # a zero column
         queries[6, 1] = 1e-11            # between the two guards
         queries[6, 0] = 1e-13            # under both guards
-        store_rows[7] = 0.0
-        store_rows[9, 2] = 0.0
-        store_rows[11, 0] = 5e-10
-        store = quantize(store_rows, request.param)
+        store[7] = 0.0
+        store[9, 2] = 0.0
+        store[11, 0] = 5e-10
+        store.flags.writeable = False
         # ~64 candidates per query, drawn with repeats from a 40-row hot
         # set plus the rest of the store, and the zero rows on purpose.
         query_index = np.repeat(np.arange(16), 64)[:1015]
@@ -196,18 +197,17 @@ class TestPerRowTerms:
         r_rows, r_local = _distinct(reference_index)
         features = pair_feature_matrix(
             PairSide(queries[q_rows], q_local),
-            PairSide(store.rows(r_rows), r_local),
+            PairSide(store[r_rows], r_local),
         )
-        references = store.dequantize()
         loop = np.array([
-            _pair_feature_row(((queries, q), (references, r)), _RowsEmbedder)
+            _pair_feature_row(((queries, q), (store, r)), _RowsEmbedder)
             for q, r in zip(query_index, reference_index)
         ])
         assert features.shape == (1015, self.COLUMNS * (self.DIM + 1))
         assert np.array_equal(features, loop)
         assert np.all(np.isfinite(features))
         # The per-pair stacks give the same bits as the distinct rows.
-        stacked = pair_feature_matrix(queries[query_index], references[reference_index])
+        stacked = pair_feature_matrix(queries[query_index], store[reference_index])
         assert np.array_equal(features, stacked)
 
     def test_pair_side_reports_the_per_pair_shape(self, batch):
@@ -220,7 +220,7 @@ class TestPerRowTerms:
         queries, store, _, _ = batch
         empty = np.zeros(0, dtype=np.intp)
         out = pair_feature_matrix(
-            PairSide(queries, empty), PairSide(store.rows(np.arange(3)), empty)
+            PairSide(queries, empty), PairSide(store[:3], empty)
         )
         assert out.shape == (0, self.COLUMNS * (self.DIM + 1))
 

@@ -24,6 +24,17 @@ class TestBuild:
         with pytest.raises(RuntimeError, match="not built"):
             index.candidates(index.band_keys(np.zeros(trained_matcher.embedder.dim)))
 
+    def test_build_refuses_repeated_ids(self, trained_matcher, reference_records):
+        """A repeated id, compared as a string, is refused before any
+        embedding: it would be bucketed twice but answer for one row."""
+        records, ids = reference_records
+        index = BlockingIndex(trained_matcher.embedder, rng=0)
+        with pytest.raises(ValueError, match=f"duplicate reference id '{ids[0]}'"):
+            index.build(records[:4], [ids[0], ids[1], ids[1], ids[0]])
+        with pytest.raises(ValueError, match="duplicate reference id '7'"):
+            index.build(records[:2], [7, "7"])
+        assert not index.built
+
     def test_build_marks_built_and_len(self, built_index, reference_records):
         records, _ = reference_records
         assert built_index.built
@@ -43,6 +54,29 @@ class TestBuild:
             assert serial.candidates(serial.band_keys(embedding)) == parallel.candidates(
                 parallel.band_keys(embedding)
             )
+
+
+class TestColumnStore:
+    def test_store_is_read_only_float64(self, built_index, trained_matcher, reference_records):
+        store = built_index.column_store
+        records, _ = reference_records
+        assert store.dtype == np.float64
+        assert store.shape == (
+            len(records), len(trained_matcher.embedder.columns), trained_matcher.embedder.dim
+        )
+        assert not store.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            store[0, 0, 0] = 1.0
+
+    def test_column_rows_are_fresh_and_exact(self, built_index, trained_matcher, reference_records):
+        records, ids = reference_records
+        before = built_index.column_store.copy()
+        rows = built_index.column_rows([ids[3], ids[0], ids[3]])
+        assert np.array_equal(rows, before[[3, 0, 3]])
+        assert np.array_equal(rows[1], trained_matcher.embedder.embed_columns(records[0]))
+        rows[:] = 7.0
+        assert np.array_equal(built_index.column_store, before)
+        assert built_index.column_rows([]).shape == (0,) + before.shape[1:]
 
 
 class TestProbe:

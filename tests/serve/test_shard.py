@@ -383,11 +383,17 @@ class TestConstruction:
         with pytest.raises(KeyError):
             built_index.shard_view(["definitely-not-an-id"])
 
+    def test_shard_view_refuses_repeated_members(self, built_index):
+        first, second = built_index.ids[:2]
+        with pytest.raises(ValueError, match=f"duplicate reference id '{first}'"):
+            built_index.shard_view([first, second, second, first])
+
     def test_shard_view_shares_frozen_blocker(self, built_index):
         view = built_index.shard_view(built_index.ids[:3])
         assert view.blocker is built_index.blocker
         assert len(view) == 3
-        assert view.column_store.mode == built_index.column_store.mode
+        assert view.column_store.dtype == np.float64
+        assert not view.column_store.flags.writeable
         np.testing.assert_array_equal(
             view.column_rows(built_index.ids[:3]),
             built_index.column_rows(built_index.ids[:3]),
