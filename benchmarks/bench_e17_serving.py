@@ -86,8 +86,8 @@ _P = {
 def _setup(profile: str) -> ServedStack:
     """The served stack, fitted on every training triple, cached per
     profile: caching one build keeps repeated in-process runs (the
-    determinism tests) cheap.  ``jobs`` still exercises the parallel
-    path at serve time via the service.
+    determinism tests) cheap.  ``jobs`` reaches only the services'
+    column fallback, which E17's traffic never takes.
     """
     return served_stack(profile, epochs=profile_config(_P, profile)["epochs"])
 

@@ -96,7 +96,7 @@ def _setup(profile: str) -> ServedStack:
     return served_stack(profile, epochs=cfg["seed_epochs"], seed_train=cfg["seed_train"])
 
 
-def _run_loop(scenario: str, service, stack: ServedStack, cfg, jobs: int) -> list[dict]:
+def _run_loop(scenario: str, service, stack: ServedStack, cfg) -> list[dict]:
     """One full loop run; returns its day rows tagged with ``scenario``."""
     bench = stack.bench
     id_column = bench.id_column
@@ -155,8 +155,8 @@ def run_experiment(profile: str = "full", jobs: int = 1) -> list[dict]:
         score_cache_size=cfg["score_cache"],
     )
     return (
-        _run_loop("loop (unsharded)", unsharded, stack, cfg, jobs)
-        + _run_loop(f"loop (sharded N={cfg['shards']})", sharded, stack, cfg, jobs)
+        _run_loop("loop (unsharded)", unsharded, stack, cfg)
+        + _run_loop(f"loop (sharded N={cfg['shards']})", sharded, stack, cfg)
     )
 
 

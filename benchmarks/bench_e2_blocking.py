@@ -10,11 +10,11 @@ blocking, and sweeping bits/bands traces the recall-vs-reduction frontier.
 
 The ``×N`` stress rows scale the embedding space with deterministic
 random fill (matches untouched) — the paper positions blocking as ER's
-scalability bottleneck, and these rows give ``run_experiment(jobs=...)``
-a workload where the :mod:`repro.par` fan-out is actually load-bearing.
-Every row carries its own blocking ``seconds``, so a ``--jobs 4`` run's
-speedup over ``--jobs 1`` is visible inside ``BENCH_E2.json``; the rest
-of each row is bit-identical for every ``jobs`` value.
+scalability bottleneck.  ``run_experiment(jobs=...)`` fans the LSH grid
+out over :mod:`repro.par`, one row per task: the one call site measured
+to gain at ``--jobs 2`` (EXPERIMENTS.md, "repro.par call sites").  Every
+row carries its own blocking ``seconds``; the rest of each row is
+bit-identical for every ``jobs`` value.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.er import (
     pair_completeness,
     reduction_ratio,
 )
-from repro.par import pstarmap
+from repro.par import pmap
 
 
 _P = {
@@ -67,8 +67,9 @@ def _scaled(embeddings: np.ndarray, ids: list[str], scale: int, prefix: str,
     return np.concatenate([embeddings, extra]), ids + extra_ids
 
 
-def _lsh_row(tag, n_bits, n_bands, emb_a, ids_a, emb_b, ids_b, matches):
+def _lsh_row(task: tuple) -> dict:
     """One LSH grid row (runs in a repro.par worker when jobs > 1)."""
+    tag, n_bits, n_bands, emb_a, ids_a, emb_b, ids_b, matches = task
     started = time.perf_counter()
     blocker = LSHBlocker(n_bits=n_bits, n_bands=n_bands, rng=0)
     candidates = blocker.candidate_pairs(emb_a, ids_a, emb_b, ids_b)
@@ -109,7 +110,7 @@ def run_experiment(profile: str = "full", jobs: int = 1) -> list[dict]:
     ]
     # One worker task per grid config: coarse-grained enough that pool
     # overhead is negligible next to the candidate generation it wraps.
-    rows = pstarmap(_lsh_row, grid_tasks, jobs=jobs, chunk_size=1, label="e2.lsh_grid")
+    rows = pmap(_lsh_row, grid_tasks, jobs=jobs, chunk_size=1, label="e2.lsh_grid")
 
     for column in ("title", "authors"):
         blocker = AttributeBlocker(column)
@@ -127,7 +128,7 @@ def run_experiment(profile: str = "full", jobs: int = 1) -> list[dict]:
 
     token = TokenBlocker(bench.compare_columns, max_df=0.05)
     started = time.perf_counter()
-    candidates = token.candidate_pairs(records_a, ids_a, records_b, ids_b, jobs=jobs)
+    candidates = token.candidate_pairs(records_a, ids_a, records_b, ids_b)
     rows.append({
         "blocker": "token(rare, all cols)",
         "candidates": len(candidates),

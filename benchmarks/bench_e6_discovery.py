@@ -99,9 +99,10 @@ def run_experiment(profile: str = "full", jobs: int = 1) -> list[dict]:
         ("semantic (coherent groups)", semantic, 0.35),
         ("syntactic (edit+overlap)", syntactic, 0.35),
     ]:
-        # jobs is forwarded for the run_all --jobs contract; the semantic
-        # matcher's centered vector_fn closure is unpicklable, so that
-        # family exercises repro.par's deterministic serial fallback.
+        # jobs is forwarded for the run_all --jobs contract, though no
+        # family gains from it (EXPERIMENTS.md, "repro.par call sites"):
+        # the semantic matcher's centered vector_fn closure is
+        # unpicklable, so that family takes repro.par's serial fallback.
         links = matcher.match_tables(staff, directory, threshold=threshold, jobs=jobs)
         links += matcher.match_tables(staff, sites, threshold=threshold, jobs=jobs)
         links = one_to_one(links)

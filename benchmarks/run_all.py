@@ -15,11 +15,12 @@ Each experiment also writes a machine-readable ``BENCH_<EXP>.json``
 long run never produces records from code that already violates the
 stack's contracts.
 
-``--jobs N`` forwards a process count to experiments that support
-:mod:`repro.par` parallel execution (currently the blocking and
-discovery benches); by the substrate's determinism contract the emitted
-rows are bit-identical for every value of N — only the wall time (and
-the ``jobs`` recorded in the span meta) changes.
+``--jobs N`` forwards a process count to experiments whose
+``run_experiment`` takes ``jobs`` (E2, E6, E17, E18, E19); only E2's LSH
+grid was measured to gain from it (EXPERIMENTS.md, "repro.par call
+sites").  By the substrate's determinism contract the emitted rows are
+bit-identical for every value of N — only the wall time (and the
+``jobs`` recorded in the span meta) changes.
 
 ``--chaos SEED`` runs every selected experiment under a seeded
 :class:`repro.faults.FaultPlan` chaos schedule (recoverable by

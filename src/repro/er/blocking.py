@@ -11,13 +11,11 @@ candidates when they collide in at least one band.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import partial
 
 import numpy as np
 
 from repro.data.types import is_missing
 from repro.faults.retry import HOT_POLICY, retry_call
-from repro.par import pmap, pmap_chunks
 from repro.text.tokenize import word_tokenize
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
@@ -26,11 +24,7 @@ from repro.utils.validation import check_positive_int
 def _band_candidates(
     bands: list[tuple[int, int]], sig_a: np.ndarray, sig_b: np.ndarray
 ) -> set[tuple[int, int]]:
-    """Index pairs of signatures colliding in any of the given bands.
-
-    Module-level (not a method) so :func:`repro.par.pmap_chunks` workers
-    can pickle it by reference.
-    """
+    """Index pairs of signatures colliding in any of the given bands."""
     found: set[tuple[int, int]] = set()
     for lo, hi in bands:
         buckets: dict[bytes, list[int]] = defaultdict(list)
@@ -44,13 +38,13 @@ def _band_candidates(
 
 
 def _token_candidates(
-    indexed_tokens: list[tuple[int, set[str]]],
+    token_sets_b: list[set[str]],
     index: dict[str, list[int]],
     rare: set[str],
 ) -> set[tuple[int, int]]:
-    """Index pairs sharing a rare token, for one chunk of B-side records."""
+    """Index pairs sharing a rare token with a B-side record."""
     found: set[tuple[int, int]] = set()
-    for j, tokens in indexed_tokens:
+    for j, tokens in enumerate(token_sets_b):
         for token in tokens & rare:
             for i in index.get(token, ()):
                 found.add((i, j))
@@ -152,31 +146,18 @@ class LSHBlocker:
         ids_a: list[str],
         embeddings_b: np.ndarray,
         ids_b: list[str],
-        *,
-        jobs: int = 1,
     ) -> set[tuple[str, str]]:
-        """Cross-table candidate pairs sharing at least one band bucket.
-
-        ``jobs > 1`` fans the per-band bucket matching out over a process
-        pool via :mod:`repro.par`; the result is identical to the serial
-        path for every ``jobs`` value (bands are independent and the
-        union is order-insensitive).
-        """
+        """Cross-table candidate pairs sharing at least one band bucket."""
         if len(embeddings_a) == 0 or len(embeddings_b) == 0:
             return set()
         self._fit_transform(np.concatenate([embeddings_a, embeddings_b]))
         sig_a = self._signatures(embeddings_a)
         sig_b = self._signatures(embeddings_b)
-        bands = self.band_slices()
         index_pairs: set[tuple[int, int]] = retry_call(
-            pmap_chunks,
-            partial(_band_candidates, sig_a=sig_a, sig_b=sig_b),
-            bands,
-            jobs=jobs,
-            chunk_size=1,
-            label="lsh.bands",
-            combine=lambda left, right: left | right,
-            initial=set(),
+            _band_candidates,
+            self.band_slices(),
+            sig_a,
+            sig_b,
             site="er.blocking.lsh",
             policy=HOT_POLICY,
             validate=lambda pairs: isinstance(pairs, set),
@@ -272,12 +253,8 @@ class TokenBlocker:
         ids_a: list[str],
         records_b: list[dict[str, object]],
         ids_b: list[str],
-        *,
-        jobs: int = 1,
     ) -> set[tuple[str, str]]:
-        """Rare-token candidate pairs; ``jobs > 1`` parallelises the
-        tokenisation of both sides and the B-side probing (document
-        frequencies stay serial — they need the global counts)."""
+        """Record pairs sharing a token rarer than ``max_df``."""
         if not records_a or not records_b:
             return set()
 
@@ -285,8 +262,8 @@ class TokenBlocker:
             # Pure in its inputs — re-runnable under the retry budget.
             n_docs = len(records_a) + len(records_b)
             document_frequency: dict[str, int] = defaultdict(int)
-            token_sets_a = pmap(self._tokens, records_a, jobs=jobs, label="token.tokenize_a")
-            token_sets_b = pmap(self._tokens, records_b, jobs=jobs, label="token.tokenize_b")
+            token_sets_a = [self._tokens(record) for record in records_a]
+            token_sets_b = [self._tokens(record) for record in records_b]
             for tokens in token_sets_a + token_sets_b:
                 for token in tokens:
                     document_frequency[token] += 1
@@ -299,14 +276,7 @@ class TokenBlocker:
             for i, tokens in enumerate(token_sets_a):
                 for token in tokens & rare:
                     index.setdefault(token, []).append(i)
-            index_pairs: set[tuple[int, int]] = pmap_chunks(
-                partial(_token_candidates, index=index, rare=rare),
-                list(enumerate(token_sets_b)),
-                jobs=jobs,
-                label="token.probe",
-                combine=lambda left, right: left | right,
-                initial=set(),
-            )
+            index_pairs = _token_candidates(token_sets_b, index, rare)
             return {(ids_a[i], ids_b[j]) for i, j in index_pairs}
 
         return retry_call(

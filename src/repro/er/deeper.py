@@ -23,6 +23,7 @@ from repro.embeddings.compose import LSTMComposer, TupleEmbedder, VectorFn
 from repro.faults.plan import inject
 from repro.faults.retry import HOT_POLICY, retry_call
 from repro.kernels.features import compose_pair_features
+from repro.kernels.score import sigmoid
 from repro.nn.layers import Module, Sequential, mlp
 from repro.nn.losses import bce_with_logits
 from repro.nn.optim import Adam, clip_grad_norm
@@ -63,9 +64,6 @@ class DeepER:
         positives before training (DeepER's sampling trick).
     vector_fn:
         Optional token → vector override (e.g. subword OOV back-off).
-    jobs:
-        Process count for pair featurisation (fixed compositions); the
-        output is bit-identical for every value (see :mod:`repro.par`).
     """
 
     def __init__(
@@ -79,7 +77,6 @@ class DeepER:
         undersample_ratio: float | None = None,
         vector_fn: VectorFn | None = None,
         rng: np.random.Generator | int | None = None,
-        jobs: int = 1,
     ) -> None:
         if composition not in {"mean", "sif", "lstm", "cnn"}:
             raise ValueError(
@@ -88,7 +85,6 @@ class DeepER:
         self.composition = composition
         self.columns = list(columns)
         self.max_tokens = max_tokens
-        self.jobs = jobs
         self.pos_weight = pos_weight
         self.undersample_ratio = undersample_ratio
         self._rng = ensure_rng(rng)
@@ -163,7 +159,6 @@ class DeepER:
             compose_pair_features,
             pairs,
             embedder=self.embedder,
-            jobs=self.jobs,
             site="er.deeper.pair_features",
             policy=HOT_POLICY,
             validate=lambda matrix: (
@@ -341,7 +336,7 @@ class DeepER:
             logits = self.classifier(Tensor(features)).data
         if classifier_was_training:
             self.classifier.train()
-        return 1.0 / (1.0 + np.exp(-np.clip(logits[:, 0], -500, 500)))
+        return sigmoid(logits[:, 0])
 
     def predict(self, pairs: list[Pair], threshold: float = 0.5) -> np.ndarray:
         """Binary match decisions."""
@@ -474,4 +469,4 @@ class MatcherHead(Module):
         logits = self.net(Tensor(features)).data[:, 0]
         if was_training:
             self.net.train()
-        return 1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500)))
+        return sigmoid(logits)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from repro.faults.retry import HOT_POLICY, retry_call
 from repro.obs.metrics import REGISTRY as _OBS
+from repro.utils.validation import check_positive_int
 
 __all__ = ["AdmissionController", "AdmitDecision", "TokenBucket"]
 
@@ -50,8 +51,7 @@ class TokenBucket:
     def __init__(self, rate: float, burst: int) -> None:
         if not rate > 0:
             raise ValueError(f"rate must be > 0, got {rate}")
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1, got {burst}")
+        check_positive_int("burst", burst)
         self.rate = float(rate)
         self.burst = int(burst)
         self._tokens = float(burst)

@@ -196,6 +196,10 @@ class GatewayConfig:
         check_positive_int("max_batch_size", self.max_batch_size)
         if not self.quantum > 0:
             raise ValueError(f"quantum must be > 0, got {self.quantum}")
+        # Built once here only to validate: a bad burst, water mark or
+        # cooldown fails at construction.  Each run builds fresh ones.
+        AdmissionController(self.admission)
+        self.make_valve()
 
     def make_valve(self) -> BackpressureValve | None:
         if self.high_water is None:

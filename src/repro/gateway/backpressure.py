@@ -25,6 +25,7 @@ groups may run, so answers are unaffected by construction.
 from __future__ import annotations
 
 from repro.obs.metrics import REGISTRY as _OBS
+from repro.utils.validation import check_non_negative_int, check_positive_int
 
 __all__ = ["BackpressureValve"]
 
@@ -33,13 +34,13 @@ class BackpressureValve:
     """Hysteresis valve with a cooldown dwell on the resume edge."""
 
     def __init__(self, high_water: int, low_water: int, cooldown: float = 0.0) -> None:
-        if high_water < 1:
-            raise ValueError(f"high_water must be >= 1, got {high_water}")
+        check_positive_int("high_water", high_water)
         if not 0 <= low_water < high_water:
             raise ValueError(
                 f"low_water must be in [0, high_water), got {low_water} "
                 f"with high_water={high_water}"
             )
+        check_non_negative_int("low_water", low_water)
         if not cooldown >= 0:
             raise ValueError(f"cooldown must be >= 0, got {cooldown}")
         self.high_water = int(high_water)

@@ -230,8 +230,6 @@ def unique_column_stack(
 def compose_pair_features(
     pairs: "list[tuple[dict[str, object], dict[str, object]]]",
     embedder: TupleEmbedder,
-    *,
-    jobs: int = 1,
 ) -> np.ndarray:
     """Feature matrix for ``pairs`` via one deduplicated composition pass
     and one batched feature kernel.
@@ -245,7 +243,7 @@ def compose_pair_features(
     for record_a, record_b in pairs:
         flat.append(record_a)
         flat.append(record_b)
-    stack, indices = unique_column_stack(flat, embedder, jobs=jobs)
+    stack, indices = unique_column_stack(flat, embedder)
     return pair_feature_matrix(
         PairSide(stack, indices[0::2]), PairSide(stack, indices[1::2])
     )

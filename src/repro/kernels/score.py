@@ -24,7 +24,8 @@ __all__ = ["score_pairs", "sigmoid"]
 
 
 def sigmoid(logits: np.ndarray) -> np.ndarray:
-    """Clipped logistic, identical to ``DeepER.predict_proba``'s output map."""
+    """Clipped logistic: the output map of ``DeepER.predict_proba``, of
+    ``MatcherHead.predict_proba`` and of :func:`score_pairs`."""
     return 1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500)))
 
 

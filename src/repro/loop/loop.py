@@ -55,6 +55,7 @@ from repro.serve.service import MatchAnswer
 from repro.serve.sim import ServerConfig, simulate
 from repro.serve.workload import WorkloadConfig, generate_workload
 from repro.utils.content import digest_rows
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "ContinuousCurationLoop",
@@ -96,12 +97,8 @@ class LoopConfig:
     eval_threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.days < 1:
-            raise ValueError(f"days must be >= 1, got {self.days}")
-        if self.labels_per_day < 1:
-            raise ValueError(
-                f"labels_per_day must be >= 1, got {self.labels_per_day}"
-            )
+        for name in ("days", "queries_per_day", "labels_per_day", "al_batch_size", "epochs"):
+            check_positive_int(name, getattr(self, name))
         if self.min_f1_delta < 0:
             raise ValueError(
                 f"min_f1_delta must be >= 0, got {self.min_f1_delta}"

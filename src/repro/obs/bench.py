@@ -16,8 +16,8 @@ diffable artifact instead of a scrollback of text tables.  Schema
       "wall_time_seconds": 32.7,
       "rows": [ {..}, .. ],               # the experiment's result table
       "metrics": { .. },                  # REGISTRY.snapshot() at emit time
-      "spans": { .. } | null              # Span.to_dict() provenance tree
-    }
+      "spans": { .. } | null              # Span.to_dict() provenance tree,
+    }                                     # at most MAX_SPAN_NODES nodes
 
 :func:`validate_record` is the single source of truth for the schema; the
 ``benchmarks.check_bench_json`` CLI and ``run_all`` both call it.
@@ -35,6 +35,10 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Span
 
 SCHEMA_VERSION = 1
+
+# The most span nodes a record may hold.  A tree past this traces one
+# span per item or per chunk instead of profiling the run's stages.
+MAX_SPAN_NODES = 500
 
 REQUIRED_KEYS = {
     "schema_version": int,
@@ -172,7 +176,20 @@ def validate_record(record: object, source: str = "<record>") -> list[str]:
     spans = record.get("spans")
     if spans is not None:
         problems.extend(_validate_span(spans, f"{source}: spans"))
+        nodes = _span_nodes(spans)
+        if nodes > MAX_SPAN_NODES:
+            problems.append(
+                f"{source}: span tree has {nodes} nodes, over the budget of "
+                f"{MAX_SPAN_NODES}"
+            )
     return problems
+
+
+def _span_nodes(node: object) -> int:
+    """Nodes in a span tree; a node without a ``children`` list is a leaf."""
+    if not isinstance(node, dict) or not isinstance(node.get("children"), list):
+        return 1
+    return 1 + sum(_span_nodes(child) for child in node["children"])
 
 
 def _validate_span(node: object, path: str) -> list[str]:

@@ -12,7 +12,7 @@ from repro.cleaning.repair import FDRepairer
 from repro.data.dependencies import FunctionalDependency, violation_rate
 from repro.data.table import Table
 from repro.discovery.search import _IndexedEngine
-from repro.discovery.matcher import SemanticMatcher
+from repro.discovery.matcher import SemanticMatcher, one_to_one
 from repro.orchestration.pipeline import PipelineContext, PipelineError, PipelineStep
 
 
@@ -67,14 +67,7 @@ class SchemaMatchStep(PipelineStep):
         table_a = context.table(self.input_a)
         table_b = context.table(self.input_b)
         links = self.matcher.match_tables(table_a, table_b, threshold=self.threshold)
-        # Greedy 1:1 assignment best-score-first.
-        mapping: dict[str, str] = {}
-        used_a: set[str] = set()
-        for link in links:
-            if link.column_b in mapping or link.column_a in used_a:
-                continue
-            mapping[link.column_b] = link.column_a
-            used_a.add(link.column_a)
+        mapping = {link.column_b: link.column_a for link in one_to_one(links)}
         renamed = table_b.rename(mapping, name=f"{table_b.name}_aligned")
         context.put_table(self.output_key, renamed)
         return {"mapped_columns": len(mapping), "mapping": dict(sorted(mapping.items()))}

@@ -1,39 +1,30 @@
 """Deterministic parallel execution substrate (see DESIGN.md § "Parallel
 execution").
 
-``pmap`` / ``pstarmap`` / ``pmap_chunks`` fan work out over a process
-pool under a hard determinism contract: chunk layout and per-chunk
-seeding depend only on the input and the parent seed (never on ``jobs``),
-and reduction is ordered by stable chunk id — so parallel output is
-bit-identical to serial output for every deterministic chunk function.
-Callers must pass ``jobs`` (and ``seed`` for stochastic work) explicitly;
-lint rule RL701/RL702 enforces that nothing reads ambient state instead.
+``pmap`` / ``pmap_chunks`` fan work out over a process pool under a hard
+determinism contract: the chunk layout depends only on the input (never
+on ``jobs``), and results are reduced in stable chunk-id order — so
+parallel output is bit-identical to serial output for every
+deterministic function.  Callers must pass ``jobs`` explicitly; lint
+rules RL701/RL702 enforce that nothing reads ambient state instead.
 
-Wired hot paths: LSH/token blocking (:mod:`repro.er.blocking`), DeepER
-pair featurisation (:mod:`repro.er.deeper`), schema matching
-(:mod:`repro.discovery.matcher`) and ``benchmarks/run_all.py --jobs``.
-The serial≡parallel contract is enforced by the differential harness in
+Call sites: E2's LSH grid (``benchmarks/bench_e2_blocking.py``, the one
+site measured to gain at ``--jobs 2``), schema matching
+(:mod:`repro.discovery.matcher`), the serving index build
+(:mod:`repro.serve.index`), the serving column fallback
+(:func:`repro.kernels.features.unique_column_stack`) and the lint
+engine's per-file phase.  The serial≡parallel contract is enforced by
 ``tests/par/``.
 """
 
-from repro.par.chunking import (
-    Chunk,
-    chunk_items,
-    chunk_rng,
-    chunk_seed,
-    chunk_spans,
-    ordered_reduce,
-)
-from repro.par.pool import pmap, pmap_chunks, pstarmap
+from repro.par.chunking import Chunk, chunk_items, chunk_spans, ordered_reduce
+from repro.par.pool import pmap, pmap_chunks
 
 __all__ = [
     "Chunk",
     "chunk_items",
-    "chunk_rng",
-    "chunk_seed",
     "chunk_spans",
     "ordered_reduce",
     "pmap",
     "pmap_chunks",
-    "pstarmap",
 ]

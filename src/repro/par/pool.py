@@ -1,12 +1,11 @@
-"""Deterministic process-pool map: ``pmap`` / ``pstarmap`` / ``pmap_chunks``.
+"""Deterministic process-pool map: ``pmap`` / ``pmap_chunks``.
 
 Execution model: the input is split into chunks with stable ids
 (:mod:`repro.par.chunking`), chunks are executed — on a process pool when
 ``jobs > 1``, otherwise in-process — and the per-chunk results are
-combined in chunk-id order.  Because the chunk layout and per-chunk
-seeding depend only on the input and the parent ``seed`` (never on
-``jobs`` or completion order), parallel output is bit-identical to
-serial output for any deterministic chunk function.
+combined in chunk-id order.  Because the chunk layout depends only on
+the input (never on ``jobs`` or completion order), parallel output is
+bit-identical to serial output for any deterministic chunk function.
 
 Serial fallback is graceful and silent at the call site (recorded in the
 span meta and ``par.*`` metrics): it triggers when ``jobs <= 1``, when
@@ -15,8 +14,10 @@ there is at most one chunk, when already inside a ``repro.par`` worker
 when the pool fails to start or breaks.  A fallback never changes the
 result — the same chunks run through the same code path in-process.
 
-Worker processes do not report back into the parent's metrics registry or
-span tree; ``par.*`` telemetry is recorded by the parent only.
+Each call records one ``par.map`` span with no children, serial or
+parallel: worker processes do not report back into the parent's metrics
+registry or span tree, and serial chunks open no span of their own.
+``par.*`` telemetry is recorded by the parent only.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ import numpy as np
 from repro.faults.plan import InjectedFault, inject
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.obs.trace import span
-from repro.par.chunking import Chunk, chunk_items, chunk_rng, ordered_reduce
-from repro.par.chunking import _MISSING
+from repro.par.chunking import Chunk, chunk_items, ordered_reduce
 
-__all__ = ["pmap", "pmap_chunks", "pstarmap"]
+__all__ = ["pmap", "pmap_chunks"]
 
-ChunkFn = Callable[[list, "np.random.Generator | None"], Any]
+ChunkFn = Callable[[list], Any]
 
 # Errors that mean "the pool is unusable", not "the chunk function is
 # wrong": fall back to the serial path (which reproduces any genuine
@@ -62,17 +62,11 @@ def _mark_worker() -> None:
 
 
 def _call_chunk(
-    chunk_fn: ChunkFn, chunk_id: int, payload: list, seed: int | None
+    chunk_fn: ChunkFn, chunk_id: int, payload: list
 ) -> tuple[int, Any, float]:
-    """Run one chunk (in a worker or in-process) and time it.
-
-    The per-chunk generator is constructed *inside* the call from
-    ``(seed, chunk_id)``, so a worker and the serial path build identical
-    rng state.
-    """
+    """Run one chunk (in a worker or in-process) and time it."""
     start = time.perf_counter()
-    rng = chunk_rng(seed, chunk_id) if seed is not None else None
-    value = chunk_fn(payload, rng)
+    value = chunk_fn(payload)
     return chunk_id, value, time.perf_counter() - start
 
 
@@ -88,20 +82,13 @@ def _picklable(*objects: object) -> bool:
 
 
 def _run_serial(
-    chunk_fn: ChunkFn, chunks: list[tuple[Chunk, list]], seed: int | None
+    chunk_fn: ChunkFn, chunks: list[tuple[Chunk, list]]
 ) -> list[tuple[int, Any, float]]:
-    results = []
-    for chunk, payload in chunks:
-        with span("par.chunk", chunk=chunk.chunk_id, items=chunk.size):
-            results.append(_call_chunk(chunk_fn, chunk.chunk_id, payload, seed))
-    return results
+    return [_call_chunk(chunk_fn, chunk.chunk_id, payload) for chunk, payload in chunks]
 
 
 def _run_parallel(
-    chunk_fn: ChunkFn,
-    chunks: list[tuple[Chunk, list]],
-    jobs: int,
-    seed: int | None,
+    chunk_fn: ChunkFn, chunks: list[tuple[Chunk, list]], jobs: int
 ) -> list[tuple[int, Any, float]]:
     import multiprocessing
 
@@ -114,7 +101,7 @@ def _run_parallel(
         max_workers=workers, mp_context=context, initializer=_mark_worker
     ) as executor:
         futures = [
-            executor.submit(_call_chunk, chunk_fn, chunk.chunk_id, payload, seed)
+            executor.submit(_call_chunk, chunk_fn, chunk.chunk_id, payload)
             for chunk, payload in chunks
         ]
         # Wait for everything (or the first failure) before collecting, so
@@ -137,7 +124,6 @@ def _execute(
     items: Sequence,
     *,
     jobs: int,
-    seed: int | None,
     chunk_size: int | None,
     label: str,
 ) -> list[Any]:
@@ -153,7 +139,7 @@ def _execute(
         fallback = "nested"
     elif len(chunks) <= 1:
         fallback = "single_chunk"
-    elif not _picklable(chunk_fn, chunks[0][1], seed):
+    elif not _picklable(chunk_fn, chunks[0][1]):
         fallback = "unpicklable"
 
     with span("par.map", label=label, jobs=jobs, chunks=len(chunks), items=n_items) as map_span:
@@ -164,7 +150,7 @@ def _execute(
                 attempts = attempt + 1
                 try:
                     inject("par.pool")
-                    results = _run_parallel(chunk_fn, chunks, jobs, seed)
+                    results = _run_parallel(chunk_fn, chunks, jobs)
                     map_span.meta["mode"] = "parallel"
                     break
                 except InjectedFault:
@@ -177,7 +163,7 @@ def _execute(
                 fallback = None
         if results is None:
             map_span.meta["mode"] = f"serial:{fallback}"
-            results = _run_serial(chunk_fn, chunks, seed)
+            results = _run_serial(chunk_fn, chunks)
         if map_span.meta["mode"] == "parallel":
             map_span.meta["chunk_seconds"] = [
                 round(seconds, 6) for _, _, seconds in sorted(results)
@@ -195,32 +181,10 @@ def _execute(
     return ordered_reduce((chunk_id, value) for chunk_id, value, _ in results)
 
 
-# --------------------------------------------------------------------- #
-# chunk-function adapters (module-level so they pickle by reference)
-# --------------------------------------------------------------------- #
-
-
-def _map_adapter(fn: Callable, payload: list, rng) -> list:
-    if rng is None:
-        return [fn(item) for item in payload]
-    return [fn(item, rng) for item in payload]
-
-
-def _star_adapter(fn: Callable, payload: list, rng) -> list:
-    if rng is None:
-        return [fn(*item) for item in payload]
-    return [fn(*item, rng) for item in payload]
-
-
-def _chunk_adapter(fn: Callable, payload: list, rng) -> Any:
-    if rng is None:
-        return fn(payload)
-    return fn(payload, rng)
-
-
-# --------------------------------------------------------------------- #
-# public API
-# --------------------------------------------------------------------- #
+def _map_adapter(fn: Callable, payload: list) -> list:
+    """Chunk function of :func:`pmap`; module-level so it pickles by
+    reference."""
+    return [fn(item) for item in payload]
 
 
 def pmap(
@@ -228,51 +192,20 @@ def pmap(
     items: Iterable,
     *,
     jobs: int,
-    seed: int | None = None,
     chunk_size: int | None = None,
     label: str | None = None,
 ) -> list:
     """Deterministic (possibly parallel) ``[fn(x) for x in items]``.
 
     Results come back in input order regardless of ``jobs`` or worker
-    completion order.  With ``seed`` set, ``fn`` is called as
-    ``fn(item, rng)`` where ``rng`` is the chunk's generator (seeded from
-    ``(seed, chunk_id)`` and consumed sequentially within the chunk) —
-    identical for every ``jobs`` value because the chunk layout never
-    depends on ``jobs``.
+    completion order.
     """
     parts = _execute(
         partial(_map_adapter, fn),
         list(items),
         jobs=jobs,
-        seed=seed,
         chunk_size=chunk_size,
         label=label or getattr(fn, "__name__", "pmap"),
-    )
-    return [value for part in parts for value in part]
-
-
-def pstarmap(
-    fn: Callable,
-    items: Iterable[tuple],
-    *,
-    jobs: int,
-    seed: int | None = None,
-    chunk_size: int | None = None,
-    label: str | None = None,
-) -> list:
-    """Deterministic (possibly parallel) ``[fn(*args) for args in items]``.
-
-    With ``seed`` set, the chunk generator is appended to the positional
-    arguments: ``fn(*args, rng)``.
-    """
-    parts = _execute(
-        partial(_star_adapter, fn),
-        list(items),
-        jobs=jobs,
-        seed=seed,
-        chunk_size=chunk_size,
-        label=label or getattr(fn, "__name__", "pstarmap"),
     )
     return [value for part in parts for value in part]
 
@@ -282,28 +215,16 @@ def pmap_chunks(
     items: Iterable,
     *,
     jobs: int,
-    seed: int | None = None,
     chunk_size: int | None = None,
     label: str | None = None,
-    combine: Callable | None = None,
-    initial: Any = _MISSING,
-) -> Any:
-    """Map ``fn`` over whole chunks, reducing per-chunk results in order.
-
-    ``fn`` receives the chunk's item list (and the chunk generator when
-    ``seed`` is set: ``fn(chunk_items, rng)``).  Without ``combine`` the
-    per-chunk results are returned as a list ordered by chunk id; with
-    ``combine`` they are left-folded in that order (pass ``initial`` to
-    seed the fold, e.g. for empty inputs).
-    """
-    parts = _execute(
-        partial(_chunk_adapter, fn),
+) -> list:
+    """Map ``fn`` over whole chunks: ``fn`` receives one chunk's item
+    list, and the per-chunk results come back as a list ordered by chunk
+    id."""
+    return _execute(
+        fn,
         list(items),
         jobs=jobs,
-        seed=seed,
         chunk_size=chunk_size,
         label=label or getattr(fn, "__name__", "pmap_chunks"),
     )
-    if combine is None:
-        return parts
-    return ordered_reduce(enumerate(parts), combine=combine, initial=initial)

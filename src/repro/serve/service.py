@@ -181,8 +181,10 @@ class MatchService:
     threshold:
         Probability above which the best candidate counts as a match.
     jobs:
-        Explicit :mod:`repro.par` process count for query embedding and
-        pair featurisation (bit-identical results for every value).
+        Explicit :mod:`repro.par` process count for the one fan-out
+        serving has left: :meth:`resolve_columns`' pass over keys that hit
+        the embedding cache but lost their column entry (bit-identical
+        results for every value).
     embedding_cache_size / score_cache_size:
         LRU capacities; 0 disables the respective cache.  Scoring adds
         a third cache (query *column* embeddings) sized like the
@@ -229,7 +231,7 @@ class MatchService:
         self.index = index
         self.threshold = threshold
         self.jobs = jobs
-        # Serving owns the matcher: inference-only mode, explicit jobs.
+        # Serving owns the matcher: inference-only mode.
         self._bind(matcher)
         self.embedding_cache = LRUCache(embedding_cache_size,
                                         name=f"{cache_scope}embedding")
@@ -238,8 +240,7 @@ class MatchService:
                                      name=f"{cache_scope}columns")
 
     def _bind(self, matcher: DeepER) -> None:
-        """Serve ``matcher`` from this replica: eval mode, this service's jobs."""
-        matcher.jobs = self.jobs
+        """Serve ``matcher`` from this replica, in eval mode."""
         matcher.classifier.eval()
         self.matcher = matcher
 

@@ -8,6 +8,35 @@ import pytest
 from repro.er import AttributeBlocker, LSHBlocker, TokenBlocker, pair_completeness, reduction_ratio
 
 
+@pytest.fixture(scope="module")
+def toy_records():
+    rng = np.random.default_rng(0)
+    nouns = ["pasta", "sushi", "grill", "deli", "cafe", "tavern", "bistro"]
+    cities = ["austin", "boston", "chicago", "denver"]
+    records = [
+        {
+            "name": f"{rng.choice(nouns)} {rng.choice(nouns)} {i}",
+            "city": str(rng.choice(cities)),
+            "phone": f"{rng.integers(100, 999)}-{rng.integers(1000, 9999)}",
+        }
+        for i in range(40)
+    ]
+    return records[:20], records[20:]
+
+
+class TestEdgeInputs:
+    def test_empty_and_single_inputs(self, toy_records):
+        records_a, records_b = toy_records
+        token = TokenBlocker(["name", "city"], max_df=0.2)
+        lsh = LSHBlocker(n_bits=16, n_bands=4, rng=0)
+        empty_emb = np.empty((0, 8))
+        one_emb = np.random.default_rng(1).normal(size=(1, 8))
+        assert token.candidate_pairs([], [], records_b, [f"b{i}" for i in range(20)]) == set()
+        assert token.candidate_pairs(records_a[:1], ["a0"], records_b[:1], ["b0"]) in (set(), {("a0", "b0")})
+        assert lsh.candidate_pairs(empty_emb, [], one_emb, ["b0"]) == set()
+        assert lsh.candidate_pairs(one_emb, ["a0"], one_emb, ["b0"]) == {("a0", "b0")}
+
+
 class TestLSHBlocker:
     def test_bits_divisible_by_bands(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,10 @@ class TestTokenBucketValidation:
     def test_burst_must_be_at_least_one(self):
         with pytest.raises(ValueError, match=r"burst must be >= 1, got 0"):
             TokenBucket(10.0, 0)
+        with pytest.raises(ValueError, match=r"burst must be an integer, got 2.5"):
+            TokenBucket(1.0, 2.5)
+        with pytest.raises(ValueError, match=r"burst must be an integer, got True"):
+            TokenBucket(1.0, True)
 
 
 class TestTokenBucket:

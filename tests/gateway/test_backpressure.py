@@ -11,6 +11,8 @@ class TestValidation:
     def test_high_water_must_be_at_least_one(self):
         with pytest.raises(ValueError, match=r"high_water must be >= 1, got 0"):
             BackpressureValve(0, 0)
+        with pytest.raises(ValueError, match=r"high_water must be an integer, got 2.5"):
+            BackpressureValve(2.5, 0)
 
     def test_low_water_must_sit_below_high_water(self):
         with pytest.raises(
@@ -20,6 +22,8 @@ class TestValidation:
             BackpressureValve(4, 4)
         with pytest.raises(ValueError, match=r"low_water must be in"):
             BackpressureValve(4, -1)
+        with pytest.raises(ValueError, match=r"low_water must be an integer, got 0.5"):
+            BackpressureValve(3, 0.5)
 
     def test_cooldown_must_be_nonnegative(self):
         with pytest.raises(ValueError, match=r"cooldown must be >= 0, got -0.5"):

@@ -260,6 +260,14 @@ class TestValidationMessages:
             GatewayConfig(max_batch_size=0)
         with pytest.raises(ValueError, match=r"quantum must be > 0, got 0"):
             GatewayConfig(quantum=0)
+        # Admission and valve settings fail at construction, not inside
+        # the first Gateway.run.
+        with pytest.raises(ValueError, match=r"high_water must be an integer, got 2.5"):
+            GatewayConfig(high_water=2.5)
+        with pytest.raises(ValueError, match=r"cooldown must be >= 0, got -1.0"):
+            GatewayConfig(high_water=3, cooldown=-1.0)
+        with pytest.raises(ValueError, match=r"burst must be >= 1, got 0"):
+            GatewayConfig(admission={"clean": (20.0, 0)})
 
     def test_config_max_batch_size_must_be_an_integer(self):
         with pytest.raises(ValueError, match=r"max_batch_size must be an integer, got nan"):

@@ -22,8 +22,10 @@ from repro.kernels import (
     compose_pair_features,
     pair_feature_matrix,
     score_pairs,
+    unique_column_stack,
 )
 from repro.kernels.reference import _pair_feature_row, loop_match_batch
+from repro.obs import drain_roots
 from repro.serve import MatchService
 
 BATCH_SIZES = [1, 2, 7, 32, 1000]
@@ -89,6 +91,26 @@ class TestFeatureKernel:
         kernel_features = trained_matcher._pair_features_numpy(pairs)
         loop_features = _loop_features(pairs, trained_matcher.embedder)
         assert np.array_equal(kernel_features, loop_features)
+
+
+class TestColumnStackJobs:
+    """``unique_column_stack`` is a ``repro.par`` call site: ``jobs=2``
+    must give the ``jobs=1`` stack and indices byte for byte."""
+
+    @pytest.mark.parametrize("size", [0, 1, 12])
+    def test_jobs_two_equals_jobs_one(self, trained_matcher, query_records, size):
+        records = query_records[:size]
+        records = records + records[: (size + 1) // 2]  # duplicates
+        embedder = trained_matcher.embedder
+        serial_stack, serial_indices = unique_column_stack(records, embedder, jobs=1)
+        drain_roots()
+        stack, indices = unique_column_stack(records, embedder, jobs=2)
+        assert stack.shape == serial_stack.shape == (size, len(embedder.columns), embedder.dim)
+        assert stack.dtype == serial_stack.dtype
+        assert stack.tobytes() == serial_stack.tobytes()
+        assert indices.tobytes() == serial_indices.tobytes()
+        modes = [root.meta["mode"] for root in drain_roots() if root.name == "par.map"]
+        assert modes == ([] if size == 0 else ["serial:single_chunk" if size == 1 else "parallel"])
 
 
 class TestScoreKernel:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.gateway import BackpressureValve
-from repro.loop import answers_digest
+from repro.loop import LoopConfig, answers_digest
 from repro.obs.metrics import REGISTRY, collecting
 
 # Pinned loop outcomes (module conftest knobs; update only deliberately).
@@ -23,6 +23,22 @@ PINNED_SCHEDULES = {
     5: [(0, "v1"), (1, "v2")],
     9: [(0, "v1"), (1, "v2")],
 }
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("name, bad, message", [
+        ("days", 0, "days must be >= 1, got 0"),
+        ("labels_per_day", 0, "labels_per_day must be >= 1, got 0"),
+        ("days", 2.5, "days must be an integer, got 2.5"),
+        ("days", True, "days must be an integer, got True"),
+        ("labels_per_day", 1.5, "labels_per_day must be an integer, got 1.5"),
+        ("queries_per_day", 0, "queries_per_day must be >= 1, got 0"),
+        ("al_batch_size", 0, "al_batch_size must be >= 1, got 0"),
+        ("epochs", 0, "epochs must be >= 1, got 0"),
+    ])
+    def test_counts_must_be_positive_integers(self, name, bad, message):
+        with pytest.raises(ValueError, match=message):
+            LoopConfig(**{name: bad})
 
 
 @pytest.fixture(scope="module")

@@ -106,14 +106,17 @@ class TestUnshardedSwap:
             counters = REGISTRY.snapshot()["counters"]
         assert counters["serve.swaps"] == 1.0
 
-    def test_swap_puts_the_candidate_in_eval_mode_with_service_jobs(
+    def test_swap_puts_the_candidate_in_eval_mode(
         self, service, matcher_factory, train_triples
     ):
         candidate = matcher_factory(2).fit(train_triples[:60], epochs=2)
-        candidate.jobs = 99
+        attributes = dict(vars(candidate))
         service.swap_matcher(candidate)
-        assert candidate.jobs == service.jobs
         assert not candidate.classifier.training
+        # The swap binds no service setting onto the matcher: offline
+        # calls on it behave as before the swap.
+        assert vars(candidate).keys() == attributes.keys()
+        assert all(vars(candidate)[name] is value for name, value in attributes.items())
 
 
 class TestSwapValidation:

@@ -1,8 +1,8 @@
-"""Property tests for the chunking/seeding/reduction invariants.
+"""Property tests for the chunking and ordered-reduction invariants.
 
-These are the three legs the serial≡parallel proof stands on; each is
+These are the two legs the serial≡parallel proof stands on; each is
 checked over a seeded sweep of input shapes rather than hand-picked
-examples (stdlib + numpy only — no hypothesis in the container).
+examples.
 """
 
 from __future__ import annotations
@@ -10,14 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.par import (
-    Chunk,
-    chunk_items,
-    chunk_rng,
-    chunk_seed,
-    chunk_spans,
-    ordered_reduce,
-)
+from repro.par import Chunk, chunk_items, chunk_spans, ordered_reduce
 from repro.par.chunking import DEFAULT_TARGET_CHUNKS, resolve_chunk_size
 
 
@@ -58,7 +51,7 @@ class TestChunkSpans:
 
     def test_layout_independent_of_anything_but_n_and_size(self):
         # The same (n, chunk_size) must always produce the same spans —
-        # this is what makes per-chunk seeds jobs-independent.
+        # this is what makes the reduction order jobs-independent.
         assert chunk_spans(100, 7) == chunk_spans(100, 7)
         assert chunk_spans(100, 7)[3] == Chunk(3, 21, 28)
 
@@ -78,19 +71,6 @@ class TestChunkSpans:
             resolve_chunk_size(10, 2.5)
 
 
-class TestChunkSeed:
-    def test_deterministic_and_distinct(self):
-        seeds = [chunk_seed(42, chunk_id) for chunk_id in range(100)]
-        assert seeds == [chunk_seed(42, chunk_id) for chunk_id in range(100)]
-        assert len(set(seeds)) == 100
-        assert seeds != [chunk_seed(43, chunk_id) for chunk_id in range(100)]
-
-    def test_rng_streams_match_seed(self):
-        a = chunk_rng(5, 3).random(8)
-        b = np.random.default_rng(chunk_seed(5, 3)).random(8)
-        assert np.array_equal(a, b)
-
-
 class TestOrderedReduce:
     def test_completion_order_irrelevant(self):
         rng = np.random.default_rng(3)
@@ -100,21 +80,11 @@ class TestOrderedReduce:
             shuffled = list(pairs)
             rng.shuffle(shuffled)
             assert ordered_reduce(shuffled) == expected
-            assert ordered_reduce(shuffled, combine=lambda a, b: a + b) == sum(
-                value for _, value in pairs
-            )
-
-    def test_fold_is_left_to_right_by_chunk_id(self):
-        pairs = [(2, "c"), (0, "a"), (1, "b")]
-        assert ordered_reduce(pairs, combine=lambda a, b: a + b) == "abc"
-        assert ordered_reduce(pairs, combine=lambda a, b: a + b, initial="_") == "_abc"
+        assert expected == [value for _, value in pairs]
 
     def test_duplicate_ids_raise(self):
         with pytest.raises(ValueError, match="duplicate chunk ids"):
             ordered_reduce([(0, "a"), (0, "b")])
 
-    def test_empty_needs_initial_for_fold(self):
+    def test_empty_gives_no_values(self):
         assert ordered_reduce([]) == []
-        assert ordered_reduce([], combine=lambda a, b: a | b, initial=set()) == set()
-        with pytest.raises(ValueError, match="initial"):
-            ordered_reduce([], combine=lambda a, b: a | b)

@@ -1,8 +1,10 @@
-"""Differential harness: every wired call site is serial≡parallel.
+"""Differential harness: the repro.par call sites are serial≡parallel.
 
 Each test runs the same seeded workload with ``jobs=1`` and
 ``jobs=2..4`` and asserts bit-identical results — the correctness
 contract that lets callers treat ``jobs`` as a pure throughput knob.
+The serving sites (``unique_column_stack`` and the services' column
+fallback) are checked in ``tests/kernels`` and ``tests/serve``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import pytest
 
 from repro.data import Table
 from repro.discovery import SemanticMatcher, SyntacticMatcher
-from repro.er import DeepER, LSHBlocker, TokenBlocker
 from repro.faults import Fault, FaultPlan
 from repro.obs import REGISTRY, collecting, drain_roots
 from repro.par import pmap
@@ -22,81 +23,6 @@ def _toy_vector(token: str) -> np.ndarray:
     """Picklable deterministic token embedding (content-seeded)."""
     rng = np.random.default_rng(sum(token.encode()) % (2**31))
     return rng.normal(size=16)
-
-
-@pytest.fixture(scope="module")
-def toy_records():
-    rng = np.random.default_rng(0)
-    nouns = ["pasta", "sushi", "grill", "deli", "cafe", "tavern", "bistro"]
-    cities = ["austin", "boston", "chicago", "denver"]
-    records = [
-        {
-            "name": f"{rng.choice(nouns)} {rng.choice(nouns)} {i}",
-            "city": str(rng.choice(cities)),
-            "phone": f"{rng.integers(100, 999)}-{rng.integers(1000, 9999)}",
-        }
-        for i in range(40)
-    ]
-    return records[:20], records[20:]
-
-
-class TestBlockingDifferential:
-    def test_lsh_candidate_pairs(self, rng):
-        emb_a = rng.normal(size=(60, 24))
-        emb_b = np.concatenate([emb_a[:30] + 0.01 * rng.normal(size=(30, 24)),
-                                rng.normal(size=(30, 24))])
-        ids_a = [f"a{i}" for i in range(60)]
-        ids_b = [f"b{i}" for i in range(60)]
-        blocker = LSHBlocker(n_bits=32, n_bands=8, rng=0)
-        serial = blocker.candidate_pairs(emb_a, ids_a, emb_b, ids_b, jobs=1)
-        assert serial, "workload produced no candidates; test is vacuous"
-        for jobs in (2, 3, 4):
-            assert blocker.candidate_pairs(emb_a, ids_a, emb_b, ids_b, jobs=jobs) == serial
-
-    def test_token_candidate_pairs(self, toy_records):
-        records_a, records_b = toy_records
-        ids_a = [f"a{i}" for i in range(len(records_a))]
-        ids_b = [f"b{i}" for i in range(len(records_b))]
-        blocker = TokenBlocker(["name", "city", "phone"], max_df=0.2)
-        serial = blocker.candidate_pairs(records_a, ids_a, records_b, ids_b, jobs=1)
-        assert serial, "workload produced no candidates; test is vacuous"
-        for jobs in (2, 4):
-            assert blocker.candidate_pairs(records_a, ids_a, records_b, ids_b, jobs=jobs) == serial
-
-    def test_empty_and_single_inputs(self, toy_records):
-        records_a, records_b = toy_records
-        token = TokenBlocker(["name", "city"], max_df=0.2)
-        lsh = LSHBlocker(n_bits=16, n_bands=4, rng=0)
-        empty_emb = np.empty((0, 8))
-        one_emb = np.random.default_rng(1).normal(size=(1, 8))
-        for jobs in (1, 2):
-            assert token.candidate_pairs([], [], records_b, [f"b{i}" for i in range(20)], jobs=jobs) == set()
-            assert token.candidate_pairs(records_a[:1], ["a0"], records_b[:1], ["b0"], jobs=jobs) in (set(), {("a0", "b0")})
-            assert lsh.candidate_pairs(empty_emb, [], one_emb, ["b0"], jobs=jobs) == set()
-            assert lsh.candidate_pairs(one_emb, ["a0"], one_emb, ["b0"], jobs=jobs) == {("a0", "b0")}
-
-
-class TestDeepERDifferential:
-    @pytest.fixture(scope="class")
-    def labeled(self, small_benchmark):
-        labeled = small_benchmark.labeled_pairs(negative_ratio=2, rng=1)[:60]
-        return [
-            (small_benchmark.record_a(a), small_benchmark.record_b(b), y)
-            for a, b, y in labeled
-        ]
-
-    def test_pair_features_and_predictions(self, word_model, small_benchmark, labeled):
-        pairs = [(a, b) for a, b, _ in labeled]
-        outputs = {}
-        for jobs in (1, 3):
-            model = DeepER(word_model, small_benchmark.compare_columns, rng=0, jobs=jobs)
-            model.fit(labeled, epochs=3)
-            outputs[jobs] = (
-                model._pair_features_numpy(pairs),
-                model.predict_proba(pairs),
-            )
-        assert np.array_equal(outputs[1][0], outputs[3][0])
-        assert np.array_equal(outputs[1][1], outputs[3][1])
 
 
 class TestMatcherDifferential:

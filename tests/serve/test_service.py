@@ -12,7 +12,7 @@ import repro.serve.service as service_module
 from repro.data.types import is_missing
 from repro.embeddings import TupleEmbedder
 from repro.er import DeepER
-from repro.obs import REGISTRY, collecting
+from repro.obs import REGISTRY, collecting, drain_roots
 from repro.serve import BlockingIndex, MatchService, ShardedMatchService
 from repro.serve.cache import LRUCache, MISSING, content_key
 from repro.serve.shard import shard_of_id, shard_of_key
@@ -377,6 +377,56 @@ def serving(trained_matcher, built_index, n_shards, **kwargs):
     return ShardedMatchService(
         trained_matcher, built_index, n_shards=n_shards, jobs=1, **kwargs
     )
+
+
+class TestColumnFallbackJobs:
+    """``jobs`` reaches serving only through :meth:`resolve_columns`'
+    fallback: a key that hits its embedding tier but lost its column
+    entry.  On such a batch, ``jobs=2`` must equal ``jobs=1`` byte for
+    byte, unsharded and sharded."""
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_jobs_two_equals_jobs_one(
+        self, trained_matcher, built_index, query_records, monkeypatch, n_shards
+    ):
+        batch = query_records[:10] + query_records[:3]
+        fallback_sizes = []
+        compose_stack = service_module.unique_column_stack
+        monkeypatch.setattr(
+            service_module, "unique_column_stack",
+            lambda records, *a, **k: fallback_sizes.append(len(records))
+            or compose_stack(records, *a, **k),
+        )
+
+        def run(jobs):
+            service = (
+                MatchService(trained_matcher, built_index, jobs=jobs) if n_shards is None
+                else ShardedMatchService(
+                    trained_matcher, built_index, n_shards=n_shards, jobs=jobs
+                )
+            )
+            service.match_batch(batch)
+            for group in service.groups:
+                group.primary.column_cache.clear()
+                group.primary.score_cache.clear()
+            fallback_sizes.clear()
+            drain_roots()
+            report = service.match_batch(batch)
+            modes = [root.meta["mode"] for root in drain_roots() if root.name == "par.map"]
+            columns = [
+                (key, cache.get(key).tobytes())
+                for cache in (group.primary.column_cache for group in service.groups)
+                for key in cache.keys()
+            ]
+            return report, columns, list(fallback_sizes), modes
+
+        serial = run(1)
+        parallel = run(2)
+        assert sum(serial[2]) == 10 and serial[2] == parallel[2]
+        assert serial[3] == ["serial:jobs"] * len(serial[2])
+        assert "parallel" in parallel[3]
+        assert parallel[0] == serial[0]
+        assert parallel[1] == serial[1]
 
 
 class TestScoreCacheCalls:

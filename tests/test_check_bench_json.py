@@ -9,7 +9,7 @@ import pytest
 pytest.importorskip("benchmarks.check_bench_json", reason="requires repo-root cwd")
 
 from benchmarks.check_bench_json import check_file, check_files, check_files_by_path, main
-from repro.obs.bench import build_record, write_record
+from repro.obs.bench import MAX_SPAN_NODES, build_record, write_record
 
 
 def _valid_path(tmp_path, experiment_id="e1"):
@@ -39,6 +39,18 @@ class TestCheckFile:
         path.write_text("{not json")
         (problem,) = check_file(str(path))
         assert "invalid JSON" in problem
+
+    def test_span_tree_over_budget_reported(self, tmp_path):
+        record = build_record([{"metric": 1.0}], "e18", metrics_snapshot={})
+        leaf = {"name": "par.chunk", "seconds": 0.0, "children": []}
+        record["spans"] = {"name": "e18", "seconds": 1.0, "children": [leaf] * MAX_SPAN_NODES}
+        path = write_record(record, tmp_path)
+        assert check_file(str(path)) == [
+            f"{path.name}: span tree has {MAX_SPAN_NODES + 1} nodes, over the "
+            f"budget of {MAX_SPAN_NODES}"
+        ]
+        record["spans"]["children"].pop()
+        assert check_file(str(write_record(record, tmp_path))) == []
 
     def test_schema_problems_all_collected(self, tmp_path):
         problems = check_file(str(_broken_path(tmp_path)))
